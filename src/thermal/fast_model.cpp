@@ -5,9 +5,6 @@
 #include <fstream>
 #include <stdexcept>
 
-#include "obs/metrics.h"
-#include "obs/trace.h"
-#include "util/timer.h"
 
 namespace rlplan::thermal {
 
@@ -146,114 +143,6 @@ double FastThermalModel::pair_correction(double src_corr,
     return std::sqrt(src_corr * dst_corr);
   }
   return 1.0;
-}
-
-double FastThermalModel::source_contribution(std::span<const Point> subsources,
-                                             double power_w,
-                                             const Point& probe,
-                                             double correction) const {
-  double m = 0.0;
-  for (const Point& s : subsources) {
-    m += config_.use_images
-             ? image_kernel(s, probe)
-             : mutual_table_.lookup(
-                   kernel_distance(s.x - probe.x, s.y - probe.y));
-  }
-  m *= power_w / static_cast<double>(subsources.size());
-  // Multiplying by an exact 1.0 is the identity, so the disabled-correction
-  // case stays bit-identical to skipping the multiply.
-  m *= correction;
-  return m;
-}
-
-void FastThermalModel::gather_sources(
-    const ChipletSystem& system,
-    const std::vector<std::optional<Rect>>& rects) const {
-  const auto n = system.num_chiplets();
-  const auto ss = static_cast<std::size_t>(config_.source_subsamples) *
-                  static_cast<std::size_t>(config_.source_subsamples);
-  subs_scratch_.resize(n * ss);
-  corr_scratch_.assign(n, 1.0);
-  std::vector<Point> pts;
-  pts.reserve(ss);
-  for (std::size_t j = 0; j < n; ++j) {
-    if (!rects[j] || system.chiplet(j).power <= 0.0) continue;
-    source_points(*rects[j], pts);
-    std::copy(pts.begin(), pts.end(), subs_scratch_.begin() + j * ss);
-    corr_scratch_[j] = center_correction(rects[j]->center());
-  }
-}
-
-double FastThermalModel::receiver_peak_rise(
-    const ChipletSystem& system,
-    const std::vector<std::optional<Rect>>& rects, std::size_t i) const {
-  const Chiplet& chip = system.chiplet(i);
-  const Rect& ri = *rects[i];
-  const double self = self_rise(chip, ri);
-  const double c_dst = center_correction(ri.center());
-  receiver_probes(ri, probes_scratch_, shapes_scratch_);
-
-  const auto ss = static_cast<std::size_t>(config_.source_subsamples) *
-                  static_cast<std::size_t>(config_.source_subsamples);
-  double worst = 0.0;
-  for (std::size_t p = 0; p < probes_scratch_.size(); ++p) {
-    const Point& probe = probes_scratch_[p];
-    double mutual = 0.0;
-    for (std::size_t j = 0; j < system.num_chiplets(); ++j) {
-      if (j == i || !rects[j]) continue;
-      const double power = system.chiplet(j).power;
-      if (power <= 0.0) continue;
-      mutual += source_contribution(
-          std::span<const Point>(subs_scratch_.data() + j * ss, ss), power,
-          probe, pair_correction(corr_scratch_[j], c_dst));
-    }
-    worst = std::max(worst, self * shapes_scratch_[p] + mutual);
-  }
-  return worst;
-}
-
-FastThermalResult FastThermalModel::evaluate(const ChipletSystem& system,
-                                             const Floorplan& floorplan) const {
-  if (empty()) {
-    throw std::logic_error("FastThermalModel: evaluate on empty model");
-  }
-  RLPLAN_TRACE_SPAN("thermal.evaluate");
-  RLPLAN_COUNTER_INC("thermal.evaluate.calls");
-  const Timer timer;
-  FastThermalResult result;
-  result.chiplet_temp_c.assign(system.num_chiplets(), ambient_c_);
-
-  rects_scratch_ = floorplan.placed_rects();
-  // Sub-source points and correction factors are per-source quantities:
-  // compute them once per call, not once per (receiver, probe, source).
-  gather_sources(system, rects_scratch_);
-  for (std::size_t i = 0; i < system.num_chiplets(); ++i) {
-    if (!rects_scratch_[i]) continue;
-    result.chiplet_temp_c[i] =
-        ambient_c_ + receiver_peak_rise(system, rects_scratch_, i);
-  }
-
-  result.max_temp_c = ambient_c_;
-  for (double t : result.chiplet_temp_c) {
-    result.max_temp_c = std::max(result.max_temp_c, t);
-  }
-  result.eval_seconds = timer.seconds();
-  return result;
-}
-
-double FastThermalModel::chiplet_temperature(const ChipletSystem& system,
-                                             const Floorplan& floorplan,
-                                             std::size_t chiplet) const {
-  if (empty()) {
-    throw std::logic_error("FastThermalModel: evaluate on empty model");
-  }
-  if (chiplet >= system.num_chiplets()) {
-    throw std::out_of_range("chiplet_temperature: index out of range");
-  }
-  if (!floorplan.is_placed(chiplet)) return ambient_c_;
-  rects_scratch_ = floorplan.placed_rects();
-  gather_sources(system, rects_scratch_);
-  return ambient_c_ + receiver_peak_rise(system, rects_scratch_, chiplet);
 }
 
 void FastThermalModel::save(const std::string& path) const {

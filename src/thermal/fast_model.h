@@ -32,14 +32,9 @@ class ThreadPool;
 
 namespace rlplan::thermal {
 
-class SoaSnapshot;
-
-/// Source-to-probe distance used by every fast-model evaluation path (scalar
-/// evaluate(), the incremental engine, and the SoA batch kernel). The
-/// sqrt-form is ~3x cheaper than std::hypot and auto-vectorizes; it may
-/// differ from hypot by 1 ulp, far below the thermal model's accuracy, and
-/// because all paths share this one definition they stay bit-identical to
-/// each other.
+/// Point-to-point distance of the mirror-image self term (image_kernel).
+/// The sqrt form is ~3x cheaper than std::hypot and may differ from it by
+/// 1 ulp, far below the thermal model's accuracy.
 inline double kernel_distance(double dx, double dy) {
   return std::sqrt(dx * dx + dy * dy);
 }
@@ -128,11 +123,10 @@ class FastThermalModel {
   double package_h_mm() const { return package_h_mm_; }
 
   /// Evaluates all placed chiplets' temperatures; unplaced chiplets read
-  /// ambient and contribute no mutual heating.
-  ///
-  /// NOT safe for concurrent calls on the same instance (reuses internal
-  /// scratch buffers); clone the model per thread, as parallel::VecEnv does
-  /// through ThermalEvaluator::clone().
+  /// ambient and contribute no mutual heating. A batch of one through a
+  /// local SoaSnapshot (thermal/soa_snapshot.h), so it returns exactly what
+  /// evaluate_batch() returns for the same floorplan. Safe for concurrent
+  /// calls on a shared instance.
   FastThermalResult evaluate(const ChipletSystem& system,
                              const Floorplan& floorplan) const;
 
@@ -140,28 +134,16 @@ class FastThermalModel {
   /// over `system`) through the SoA kernel (thermal/soa_snapshot.h), with the
   /// snapshot geometry, table views, and scratch amortized across candidates.
   /// When `pool` is given, candidate chunks fan out over its workers —
-  /// results are index-aligned and independent of the thread count.
-  /// Temperatures agree with a plain evaluate() of each candidate to within
-  /// 1e-9 C (observed ~1e-13 C: the SoA kernel interpolates uniform mutual
-  /// tables in fraction form — see soa_snapshot.h for the full numerical
-  /// contract); do NOT compare the two paths with exact equality.
-  ///
-  /// Unlike evaluate(), this is safe for concurrent calls on a shared
+  /// results are index-aligned, independent of the thread count, and equal
+  /// to evaluate() of each candidate. Safe for concurrent calls on a shared
   /// instance: all mutable state lives in per-lane snapshots.
   std::vector<FastThermalResult> evaluate_batch(
       const ChipletSystem& system, std::span<const Floorplan> floorplans,
       parallel::ThreadPool* pool = nullptr) const;
 
-  /// Temperature of a single chiplet: one row of evaluate(), computed
-  /// without touching the other receivers. Unplaced chiplets read ambient.
-  double chiplet_temperature(const ChipletSystem& system,
-                             const Floorplan& floorplan,
-                             std::size_t chiplet) const;
-
   // --- Evaluation building blocks -----------------------------------------
-  // Shared between evaluate() and the incremental engine
-  // (thermal/incremental.h) so both produce identical numbers: a cached
-  // pairwise contribution is the very double evaluate() would have summed.
+  // Shared between the SoA snapshot and the incremental engine
+  // (thermal/incremental.h) so both see identical per-die doubles.
 
   /// Receiver probe points inside `footprint` (probe_count() entries,
   /// row-major over the probe grid) and the per-probe self-heating shape
@@ -181,11 +163,6 @@ class FastThermalModel {
   /// Mutual pair scale sqrt(C_src * C_dst) under config().correct_mutual;
   /// exactly 1.0 otherwise.
   double pair_correction(double src_corr, double dst_corr) const;
-  /// Temperature rise at `probe` caused by one source die: kernel summed
-  /// over its sub-sources, scaled by power and the pair correction.
-  double source_contribution(std::span<const Point> subsources,
-                             double power_w, const Point& probe,
-                             double correction) const;
 
   void save(const std::string& path) const;
   static FastThermalModel load(const std::string& path);
@@ -193,17 +170,9 @@ class FastThermalModel {
  private:
   /// Decaying kernel: table value minus the uniform floor, clamped >= 0.
   double decay_kernel(double distance_mm) const;
-  /// Kernel evaluated source -> probe including first-order mirror images.
+  /// Kernel evaluated source -> probe including first-order mirror images
+  /// (the self term's boundary correction).
   double image_kernel(const Point& src, const Point& probe) const;
-  /// Fills the per-source scratch (sub-source points, correction factors)
-  /// for every placed, powered die in `rects`.
-  void gather_sources(const ChipletSystem& system,
-                      const std::vector<std::optional<Rect>>& rects) const;
-  /// Peak rise of receiver `i` over its probe grid, using gather_sources()
-  /// scratch for the mutual term.
-  double receiver_peak_rise(const ChipletSystem& system,
-                            const std::vector<std::optional<Rect>>& rects,
-                            std::size_t i) const;
 
   SelfResistanceTable self_table_;
   MutualResistanceTable mutual_table_;
@@ -214,15 +183,6 @@ class FastThermalModel {
   double package_h_mm_ = 0.0;
   double uniform_floor_ = 0.0;  // K/W
   FastModelConfig config_{};
-
-  // Scratch reused across evaluate() calls (why evaluate() is const but not
-  // concurrency-safe on a shared instance). Sub-source points are stored
-  // flat, source_subsamples^2 per die.
-  mutable std::vector<std::optional<Rect>> rects_scratch_;
-  mutable std::vector<Point> subs_scratch_;
-  mutable std::vector<double> corr_scratch_;
-  mutable std::vector<Point> probes_scratch_;
-  mutable std::vector<double> shapes_scratch_;
 };
 
 }  // namespace rlplan::thermal

@@ -1,7 +1,6 @@
 #include "thermal/incremental.h"
 
 #include <algorithm>
-#include <span>
 #include <stdexcept>
 
 #include "obs/metrics.h"
@@ -9,25 +8,16 @@
 
 namespace rlplan::thermal {
 
-util::SimdLevel IncrementalThermalState::dispatch_level() {
-  return soa_dispatch_level();
-}
-
 util::SimdLevel IncrementalThermalState::set_simd_level(
     util::SimdLevel level) {
-  // Non-uniform mutual tables (hand-built; the model resamples its own at
-  // construction) have no LUT coordinate transform — they always take the
-  // exact scalar path.
-  ops_ = k_.uniform ? soa_kernel_ops(level) : nullptr;
-  simd_level_ = ops_ != nullptr ? level : util::SimdLevel::kScalar;
-  set_patched_query(ops_ != nullptr);
+  ops_ = soa_kernel_ops(level);
+  simd_level_ = soa_served_level(level);
   return simd_level_;
 }
 
 void IncrementalThermalState::set_patched_query(bool on) {
   patched_query_ = on;
-  // Any materialized sums may not match the new mode's row provenance;
-  // rebuild lazily at the next query.
+  // Sums are rebuilt lazily at the next patched query.
   sums_valid_ = false;
   patch_epoch_ = 0;
 }
@@ -47,66 +37,69 @@ IncrementalThermalState::IncrementalThermalState(const FastThermalModel& model,
   k_.bind(model);
   probe_count_ = k_.pc;
   dies_.resize(n);
+  power_.resize(n);
+  src_scale_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    dies_[i].power = system.chiplet(i).power;
+    power_[i] = system.chiplet(i).power;
+    src_scale_[i] = power_[i] / static_cast<double>(k_.ss);
   }
   pair_.assign(n * n * probe_count_, 0.0);
   probe_x_.assign(n * probe_count_, 0.0);
   probe_y_.assign(n * probe_count_, 0.0);
+  shape_.assign(n * probe_count_, 0.0);
   src_x_.assign(n * k_.ss * k_.img, 0.0);
   src_y_.assign(n * k_.ss * k_.img, 0.0);
-  src_scale_.assign(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    src_scale_[i] = dies_[i].power / static_cast<double>(k_.ss);
-  }
   mutual_sum_.assign(n * probe_count_, 0.0);
   set_simd_level(util::active_simd_level());
 }
 
-void IncrementalThermalState::refresh_die_blocks(std::size_t i) {
-  const DieCache& die = dies_[i];
-  double* px = probe_x_.data() + i * probe_count_;
-  double* py = probe_y_.data() + i * probe_count_;
-  for (std::size_t p = 0; p < die.probes.size(); ++p) {
-    px[p] = die.probes[p].x;
-    py[p] = die.probes[p].y;
+Rect IncrementalThermalState::load_geometry(std::size_t i) {
+  const Placement& p = *dies_[i].placement;
+  const Chiplet& chip = system_->chiplet(i);
+  const Rect rect{p.position.x, p.position.y,
+                  p.rotated ? chip.height : chip.width,
+                  p.rotated ? chip.width : chip.height};
+  model_->receiver_probes(rect, probes_scratch_, shapes_scratch_);
+  for (std::size_t q = 0; q < probe_count_; ++q) {
+    probe_x_[i * probe_count_ + q] = probes_scratch_[q].x;
+    probe_y_[i * probe_count_ + q] = probes_scratch_[q].y;
+    shape_[i * probe_count_ + q] = shapes_scratch_[q];
   }
-  if (die.power <= 0.0) return;
-  const std::size_t pts = k_.ss * k_.img;
-  double* xs = src_x_.data() + i * pts;
-  double* ys = src_y_.data() + i * pts;
-  for (const Point& s : die.subs) {
-    k_.expand_source_point(s, xs, ys);
-    xs += k_.img;
-    ys += k_.img;
+  if (power_[i] > 0.0) {
+    model_->source_points(rect, subs_scratch_);
+    const std::size_t pts = k_.ss * k_.img;
+    double* xs = src_x_.data() + i * pts;
+    double* ys = src_y_.data() + i * pts;
+    for (const Point& s : subs_scratch_) {
+      k_.expand_source_point(s, xs, ys);
+      xs += k_.img;
+      ys += k_.img;
+    }
   }
+  return rect;
 }
 
-void IncrementalThermalState::compute_pair_row_kernel(std::size_t receiver,
-                                                      std::size_t source) {
+void IncrementalThermalState::compute_pair_row(std::size_t receiver,
+                                               std::size_t source) {
   const std::size_t pts = k_.ss * k_.img;
   const double* px = probe_x_.data() + receiver * probe_count_;
   const double* py = probe_y_.data() + receiver * probe_count_;
   const double* sx = src_x_.data() + source * pts;
   const double* sy = src_y_.data() + source * pts;
   double* row = pair_row(receiver, source);
-  if (!k_.use_images) {
-    ops_->pair_raw(px, py, probe_count_, sx, sy, pts, k_.mutual.front,
-                   k_.mutual.back, k_.mutual.inv_step, k_.coord_cap,
-                   k_.lut_raw.data(), row);
-  } else if (k_.unit_weights) {
-    ops_->pair_unit(px, py, probe_count_, sx, sy, pts, k_.mutual.front,
-                    k_.mutual.back, k_.mutual.inv_step, k_.coord_cap,
-                    k_.lut_img.data(), row);
-  } else {
+  if (k_.use_images) {
     ops_->pair_weighted(px, py, probe_count_, sx, sy, pts, k_.mutual.front,
                         k_.mutual.back, k_.mutual.inv_step, k_.coord_cap,
                         k_.lut_img.data(), k_.w_flat.data(), row);
+  } else {
+    ops_->pair_raw(px, py, probe_count_, sx, sy, pts, k_.mutual.front,
+                   k_.mutual.back, k_.mutual.inv_step, k_.coord_cap,
+                   k_.lut_raw.data(), row);
   }
-  // Same multiply order as source_contribution(): kernel subtotal plus the
-  // per-sub-source floor, times power / ss, times the pair correction. Only
-  // the floor association and within-block lane order differ from the
-  // scalar path — the documented ulp-level envelope.
+  // SoaSnapshot's order: kernel subtotal plus the per-sub-source floor,
+  // times power / ss, times the pair correction. The pair-row kernel equals
+  // the sweep subtotal bit for bit, so this row is the very double the
+  // snapshot sums for (receiver, source).
   const double corr =
       model_->pair_correction(dies_[source].corr, dies_[receiver].corr);
   const double floor_per_src = static_cast<double>(k_.ss) * k_.floor;
@@ -139,7 +132,7 @@ void IncrementalThermalState::rebuild_receiver_sum(std::size_t i) const {
   // happen in the identical sequence, so the rebuilt sums are deterministic
   // and independent of mutation history.
   for (std::size_t j = 0; j < dies_.size(); ++j) {
-    if (j == i || !dies_[j].placement || dies_[j].power <= 0.0) continue;
+    if (j == i || !dies_[j].placement || power_[j] <= 0.0) continue;
     const double* row = pair_row(i, j);
     for (std::size_t p = 0; p < probe_count_; ++p) {
       sum[p] += row[p];
@@ -165,55 +158,25 @@ void IncrementalThermalState::apply_place(std::size_t i, const Placement& p) {
   // A move invalidates i's source terms inside every other placed
   // receiver's partial sums; subtract the cached rows before they are
   // overwritten below.
-  if (sums_active() && die.placement && die.power > 0.0) {
+  if (sums_active() && die.placement && power_[i] > 0.0) {
     patch_source_terms(i, -1.0);
   }
   if (!die.placement) ++num_placed_;
   die.placement = p;
-  const Chiplet& chip = system_->chiplet(i);
-  const double w = p.rotated ? chip.height : chip.width;
-  const double h = p.rotated ? chip.width : chip.height;
-  die.rect = Rect{p.position.x, p.position.y, w, h};
-  model_->receiver_probes(die.rect, die.probes, die.shapes);
-  die.self_rise = model_->self_rise(chip, die.rect);
-  die.corr = model_->center_correction(die.rect.center());
-  if (die.power > 0.0) model_->source_points(die.rect, die.subs);
-  refresh_die_blocks(i);
+  const Rect rect = load_geometry(i);
+  die.self_rise = model_->self_rise(system_->chiplet(i), rect);
+  die.corr = model_->center_correction(rect.center());
 
   // Refresh the couplings involving die i, in both directions: one
-  // kernel-row recompute per direction per placed peer (pair_updates_
-  // counts rows, never per-probe work, in both tiers).
+  // kernel-row recompute per direction per placed peer.
   for (std::size_t j = 0; j < dies_.size(); ++j) {
     if (j == i || !dies_[j].placement) continue;
-    const DieCache& other = dies_[j];
-    if (other.power > 0.0) {
-      // Source j -> receiver i.
-      if (ops_ != nullptr) {
-        compute_pair_row_kernel(i, j);
-      } else {
-        const double corr = model_->pair_correction(other.corr, die.corr);
-        double* row = pair_row(i, j);
-        for (std::size_t p_idx = 0; p_idx < probe_count_; ++p_idx) {
-          row[p_idx] = model_->source_contribution(
-              std::span<const Point>(other.subs), other.power,
-              die.probes[p_idx], corr);
-        }
-      }
+    if (power_[j] > 0.0) {  // source j -> receiver i
+      compute_pair_row(i, j);
       ++pair_updates_;
     }
-    if (die.power > 0.0) {
-      // Source i -> receiver j.
-      if (ops_ != nullptr) {
-        compute_pair_row_kernel(j, i);
-      } else {
-        const double corr = model_->pair_correction(die.corr, other.corr);
-        double* row = pair_row(j, i);
-        for (std::size_t p_idx = 0; p_idx < probe_count_; ++p_idx) {
-          row[p_idx] = model_->source_contribution(
-              std::span<const Point>(die.subs), die.power, other.probes[p_idx],
-              corr);
-        }
-      }
+    if (power_[i] > 0.0) {  // source i -> receiver j
+      compute_pair_row(j, i);
       ++pair_updates_;
     }
   }
@@ -221,7 +184,7 @@ void IncrementalThermalState::apply_place(std::size_t i, const Placement& p) {
   if (sums_active()) {
     // Patch i's new source terms into the peers' sums and re-sum i's own
     // row fresh (its receiver terms all changed anyway).
-    if (die.power > 0.0) patch_source_terms(i, 1.0);
+    if (power_[i] > 0.0) patch_source_terms(i, 1.0);
     rebuild_receiver_sum(i);
     ++patch_epoch_;
     ++sum_patches_;
@@ -230,7 +193,7 @@ void IncrementalThermalState::apply_place(std::size_t i, const Placement& p) {
 
 void IncrementalThermalState::apply_remove(std::size_t i) {
   if (dies_[i].placement) {
-    if (sums_active() && dies_[i].power > 0.0) patch_source_terms(i, -1.0);
+    if (sums_active() && power_[i] > 0.0) patch_source_terms(i, -1.0);
     dies_[i].placement.reset();
     --num_placed_;
     if (sums_active()) {
@@ -317,7 +280,7 @@ void IncrementalThermalState::undo() {
     const bool placed_before = entry.prev_cache.placement.has_value();
     if (placed_now && !placed_before) --num_placed_;
     if (!placed_now && placed_before) ++num_placed_;
-    dies_[entry.die] = std::move(entry.prev_cache);
+    dies_[entry.die] = entry.prev_cache;
     const double* saved = entry.saved_rows.data();
     for (const std::size_t j : entry.peers) {
       std::copy(saved, saved + probe_count_, pair_row(entry.die, j));
@@ -325,9 +288,9 @@ void IncrementalThermalState::undo() {
       std::copy(saved, saved + probe_count_, pair_row(j, entry.die));
       saved += probe_count_;
     }
-    // The SoA blocks mirror the DieCache; blocks of unplaced dies are never
-    // read, so restoring them can wait for a future re-place.
-    if (dies_[entry.die].placement) refresh_die_blocks(entry.die);
+    // The geometry blocks follow from the placement; blocks of unplaced dies
+    // are never read, so restoring them can wait for a future re-place.
+    if (dies_[entry.die].placement) load_geometry(entry.die);
     // Partial sums restore verbatim (bit-exact rollback); the oldest entry
     // wins, which is the state right before the whole transaction.
     if (entry.sums_were_valid) {
@@ -342,28 +305,30 @@ void IncrementalThermalState::undo() {
 }
 
 double IncrementalThermalState::receiver_peak_rise(std::size_t i) const {
-  const DieCache& die = dies_[i];
+  const double self = dies_[i].self_rise;
+  const double* shape = shape_.data() + i * probe_count_;
   double worst = 0.0;
   for (std::size_t p_idx = 0; p_idx < probe_count_; ++p_idx) {
     double mutual = 0.0;
-    // Source-index order matches the batch evaluator's inner loop, so the
-    // accumulated sum is the identical sequence of additions.
+    // Ascending source order, like the batch snapshot, so the accumulated
+    // sum is the identical sequence of additions.
     for (std::size_t j = 0; j < dies_.size(); ++j) {
-      if (j == i || !dies_[j].placement || dies_[j].power <= 0.0) continue;
+      if (j == i || !dies_[j].placement || power_[j] <= 0.0) continue;
       mutual += pair_row(i, j)[p_idx];
     }
-    worst = std::max(worst, die.self_rise * die.shapes[p_idx] + mutual);
+    worst = std::max(worst, self * shape[p_idx] + mutual);
   }
   return worst;
 }
 
 double IncrementalThermalState::receiver_peak_rise_cached(
     std::size_t i) const {
-  const DieCache& die = dies_[i];
+  const double self = dies_[i].self_rise;
+  const double* shape = shape_.data() + i * probe_count_;
   const double* sum = mutual_sum_.data() + i * probe_count_;
   double worst = 0.0;
   for (std::size_t p_idx = 0; p_idx < probe_count_; ++p_idx) {
-    worst = std::max(worst, die.self_rise * die.shapes[p_idx] + sum[p_idx]);
+    worst = std::max(worst, self * shape[p_idx] + sum[p_idx]);
   }
   return worst;
 }
@@ -431,16 +396,10 @@ bool IncrementalFastModelEvaluator::ensure_session(
   const double fp = fingerprint(system);
   if (!state_ || session_system_ != &system || session_fingerprint_ != fp) {
     state_.emplace(model_, system);
-    if (forced_level_) state_->set_simd_level(*forced_level_);
     session_system_ = &system;
     session_fingerprint_ = fp;
   }
   return true;
-}
-
-void IncrementalFastModelEvaluator::set_simd_level(util::SimdLevel level) {
-  forced_level_ = level;
-  if (state_) state_->set_simd_level(level);
 }
 
 void IncrementalFastModelEvaluator::notify_reset(const ChipletSystem& system) {
@@ -485,8 +444,7 @@ double IncrementalFastModelEvaluator::incremental_max_temperature(
   state_->sync(floorplan);
   if (obs::metrics_enabled()) {
     // Cache effectiveness: coupling ROWS actually recomputed since the last
-    // query (kernel-row granularity in both tiers) vs n per query for a
-    // full rebuild, plus partial-sum patches on the dispatched query path.
+    // query vs n per query for a full rebuild, plus partial-sum patches.
     const long updates = state_->pair_updates();
     // A session rebuild resets the state's counters; restart the baselines.
     RLPLAN_COUNTER_ADD(

@@ -1,42 +1,35 @@
 // Incremental thermal evaluation engine (the reward hot path).
 //
-// FastThermalModel::evaluate() is a superposition: receiver i's temperature
-// is its own self term plus the sum over every other placed die j of a
-// pairwise coupling term that depends only on (i's probe points, j's
-// sub-sources, both powers). Both optimizers mutate one or two dies per step
-// (the RL env places one chiplet per action; TAP-2.5D SA displaces/swaps/
-// rotates), so almost every pairwise term of the previous evaluation is
-// still valid.
+// The fast model is a superposition: receiver i's temperature is its own
+// self term plus the sum over every other placed die j of a pairwise
+// coupling term that depends only on (i's probe points, j's sub-sources,
+// both powers). Both optimizers mutate one or two dies per step (the RL env
+// places one chiplet per action; TAP-2.5D SA displaces/swaps/rotates), so
+// almost every pairwise term of the previous evaluation is still valid.
 //
 // IncrementalThermalState caches exactly those terms: a dense pairwise
 // coupling table pair[receiver][source][probe] plus per-die self terms and
-// probe/sub-source geometry. Placing (or moving) one die recomputes only the
-// O(n) coupling rows involving that die; removing a die or undoing a
-// rejected SA move costs no kernel work at all.
+// flat SoA geometry blocks (probe points and image-expanded sub-source
+// coordinates, refreshed in place per move). Placing (or moving) one die
+// recomputes only the O(n) coupling rows involving that die, each through
+// one pair-row call of the SoA kernel table (thermal/soa_kernels.h) — the
+// same table, and the same block routine, the batch snapshot sweeps with.
+// Removing a die or undoing a rejected SA move costs no kernel work at all.
 //
-// Two execution tiers, mirroring the batch SoA kernels (soa_kernels.h):
-//
-//  * Forced scalar (RLPLANNER_SIMD=scalar, unsupported hosts, or
-//    set_simd_level(kScalar)): coupling rows come from the model's own
-//    source_contribution() and a query re-sums the cached rows in the batch
-//    evaluator's source order — incremental and batch results are BIT-EXACT
-//    (each summed double is the very value evaluate() would produce).
-//  * Dispatched (AVX2/NEON): rows come from the fused pair-row kernels fed
-//    by persistent SoA per-die blocks (probe points and image-expanded
-//    sub-source coordinates, bound once and refreshed in place per move),
-//    and the max-temperature query is itself incremental — per-die row
-//    partial sums are patched in place per move (subtract the old source
-//    terms, add the new ones, re-sum only the moved die's own row) with
-//    journaled snapshots so commit/rollback restores them bit-exactly, and
-//    a deterministic full re-reduction every kResumInterval patches bounds
-//    accumulation drift at the ulp level. Results stay within the repo-wide
-//    1e-9 C envelope of the forced-scalar path, identical for every run and
-//    thread count.
+// Queries answer from journaled per-die partial sums: a move patches them in
+// place (subtract the moved die's old source terms, add the new ones, re-sum
+// only its own receiver row), commit/rollback restores them bit-exactly, and
+// a deterministic full re-reduction every kResumInterval patches bounds the
+// accumulation drift at the ulp level. set_patched_query(false) switches to
+// a full ascending re-sum of the cached rows instead — the reference mode,
+// equal to the batch evaluator at the same SIMD level bit for bit (each row
+// is the very double the batch sweep produces, summed in the same order).
 //
 // IncrementalFastModelEvaluator adapts the state to the ThermalEvaluator
 // incremental protocol (notify_place / notify_remove / commit / rollback)
-// and is a drop-in replacement for FastModelEvaluator everywhere — including
-// parallel::VecEnv, whose per-replica clones each get independent state.
+// and serves plain and batched queries through FastThermalModel — it is the
+// library's one fast-model evaluator, including under parallel::VecEnv,
+// whose per-replica clones each get independent state.
 #pragma once
 
 #include <cstddef>
@@ -85,8 +78,8 @@ class IncrementalThermalState {
 
   /// Places chiplet `i` (or moves it when already placed): recomputes the
   /// O(n) coupling rows involving i. Journaled: a move additionally
-  /// snapshots the overwritten couplings (and, in patched-query mode, the
-  /// partial-sum array) so undo() can restore them without kernel work.
+  /// snapshots the overwritten couplings (and any materialized partial
+  /// sums) so undo() can restore them without kernel work.
   void place(std::size_t i, const Placement& p);
   /// Unplaces chiplet `i` (no kernel work). Journaled; no-op when unplaced.
   void remove(std::size_t i);
@@ -100,13 +93,14 @@ class IncrementalThermalState {
   void commit() { journal_.clear(); }
   /// Reverts all mutations since the last commit(), newest first, by
   /// restoring journaled snapshots — no kernel evaluations (the SA reject
-  /// path costs pure memory copies). Partial sums are restored verbatim, so
-  /// rollback is bit-exact in every mode.
+  /// path costs memory copies plus re-deriving the die's geometry blocks).
+  /// Partial sums are restored verbatim, so rollback is bit-exact in every
+  /// mode.
   void undo();
 
   /// Peak temperature over placed dies (ambient when none placed). Equal to
-  /// FastThermalModel::evaluate(...).max_temp_c on the synced placement in
-  /// forced-scalar mode; within 1e-9 C of it when dispatched.
+  /// a snapshot evaluation at the same SIMD level on the synced placement
+  /// with the patched query off; within 1e-9 C of it with it on.
   double max_temperature_c() const;
   /// Temperature of one chiplet (ambient when unplaced) — one row of the
   /// batch result, under the same mode contract as max_temperature_c().
@@ -115,9 +109,9 @@ class IncrementalThermalState {
   void temperatures(std::vector<double>& out) const;
 
   /// Directed pair coupling ROWS recomputed so far — one unit per
-  /// (receiver, source) kernel-row recompute regardless of kernel tier or
-  /// probe count (perf accounting: a batch evaluation costs n*(n-1) of
-  /// these, a single-die move costs 2*(n-1)).
+  /// (receiver, source) kernel-row recompute regardless of probe count
+  /// (perf accounting: a batch evaluation costs n*(n-1) of these, a
+  /// single-die move costs 2*(n-1)).
   long pair_updates() const { return pair_updates_; }
   /// Patched-sum mutations applied (patched-query mode only).
   long sum_patches() const { return sum_patches_; }
@@ -125,55 +119,44 @@ class IncrementalThermalState {
   /// one per kResumInterval patches).
   long sum_resums() const { return sum_resums_; }
 
-  /// The SIMD level the pair-row kernels actually run at. New states start
-  /// at dispatch_level(); kScalar means the exact source_contribution()
-  /// path.
+  /// The SIMD level of the kernel table the pair rows come from. New states
+  /// start at soa_dispatch_level() (thermal/soa_kernels.h).
   util::SimdLevel simd_level() const { return simd_level_; }
 
-  /// Overrides the kernel selection (differential tests, forced-scalar
-  /// benches). Levels whose kernels are not compiled in or not supported by
-  /// the host fall back to kScalar — never to a different SIMD level. Also
-  /// resets the query mode to the level's default (patched iff kernels are
-  /// installed); call set_patched_query() after to override. Returns the
-  /// level actually installed.
+  /// Overrides the kernel table (differential tests, forced-scalar benches).
+  /// Levels whose kernels are not compiled in or not supported by the host
+  /// get the scalar table — never a different SIMD level. Rows already
+  /// cached keep the table they were computed with, so call this before
+  /// placing dies. Returns the level actually installed.
   util::SimdLevel set_simd_level(util::SimdLevel level);
 
-  /// Process-wide default kernel level (util::active_simd_level() with
-  /// unavailable levels collapsed to kScalar — what benches publish).
-  static util::SimdLevel dispatch_level();
-
-  /// Whether queries answer from the journaled partial sums (default when
-  /// kernels are dispatched) instead of a full ascending re-summation (the
-  /// bit-exact default for forced scalar).
+  /// Whether queries answer from the journaled partial sums (the default)
+  /// instead of a full ascending re-summation of the cached rows.
   bool patched_query() const { return patched_query_; }
-  /// Overrides the query mode — primarily so tests can exercise the
-  /// journaled-sum machinery under scalar kernels (it is numerically
-  /// independent of the kernel tier).
+  /// Sets the query mode. Off is the reference mode the tests compare with
+  /// the batch evaluator bit for bit.
   void set_patched_query(bool on);
 
  private:
+  /// Per-die state a query or undo() reads; the die's geometry lives in
+  /// the flat SoA blocks below and is re-derived from the placement.
   struct DieCache {
     std::optional<Placement> placement;
-    Rect rect{};
-    double power = 0.0;      // from the system; fixed
     double self_rise = 0.0;  // R_self * power at the current placement
     double corr = 1.0;       // position-correction factor at the center
-    std::vector<Point> probes;   // receiver probe points (probe_count())
-    std::vector<double> shapes;  // per-probe self-heating shape factors
-    std::vector<Point> subs;     // sub-source points (when power > 0)
   };
 
   struct JournalEntry {
     std::size_t die = 0;
-    DieCache prev_cache;  // the die's full cache (incl. placement) before
+    DieCache prev_cache;  // the die's cache (incl. placement) before
     // Pair rows a move overwrote: for each peer j placed at mutation time,
     // the 2 * probe_count_ doubles of pair(die, j) followed by pair(j, die).
-    // Empty for removes and first-time places (their undo needs no rows).
+    // Empty for removes (their undo needs no rows).
     std::vector<std::size_t> peers;
     std::vector<double> saved_rows;
-    // Patched-query mode: verbatim snapshot of the partial-sum array before
-    // the mutation (empty when sums were not materialized), restored on undo
-    // so rollback is bit-exact by construction.
+    // Verbatim snapshot of the partial-sum array before the mutation (empty
+    // when sums were not materialized), restored on undo so rollback is
+    // bit-exact by construction.
     std::vector<double> prev_sums;
     bool sums_were_valid = false;
     int prev_patch_epoch = 0;
@@ -190,18 +173,17 @@ class IncrementalThermalState {
     return pair_.data() + (receiver * dies_.size() + source) * probe_count_;
   }
 
-  /// Refreshes die i's persistent SoA blocks (flat probe coordinates and
-  /// image-expanded sub-source coordinates) from its DieCache. Cheap —
-  /// O(probes + ss * img) stores, no kernel math.
-  void refresh_die_blocks(std::size_t i);
-  /// Computes pair_row(receiver, source) through the dispatched pair-row
-  /// kernel from the persistent SoA blocks; matches source_contribution()'s
-  /// multiply order, within the documented ulp envelope of it.
-  void compute_pair_row_kernel(std::size_t receiver, std::size_t source);
+  /// Rewrites placed die i's SoA blocks (probe coordinates, self-heating
+  /// shapes, image-expanded sub-source coordinates) from its placement and
+  /// returns its footprint. Cheap — O(probes + ss * img), no kernel math.
+  Rect load_geometry(std::size_t i);
+  /// Computes pair_row(receiver, source) through the kernel table's
+  /// pair-row form, scaled exactly as SoaSnapshot scales a sweep subtotal.
+  void compute_pair_row(std::size_t receiver, std::size_t source);
 
   /// Peak rise of placed receiver `i`: max over probes of self * shape plus
-  /// cached couplings summed in source-index order (matching the batch
-  /// evaluator's accumulation order exactly).
+  /// cached couplings summed in ascending source order (the batch
+  /// evaluator's accumulation order).
   double receiver_peak_rise(std::size_t i) const;
   /// Peak rise of placed receiver `i` from the materialized partial sums.
   double receiver_peak_rise_cached(std::size_t i) const;
@@ -221,6 +203,7 @@ class IncrementalThermalState {
   std::size_t probe_count_ = 0;
   std::size_t num_placed_ = 0;
   std::vector<DieCache> dies_;
+  std::vector<double> power_;  // per die, from the system; fixed
   // pair_[(i * n + j) * probe_count_ + p]: rise at probe p of receiver i
   // caused by source j (power and pair correction folded in). Valid while
   // both dies keep the placement it was computed at.
@@ -236,27 +219,32 @@ class IncrementalThermalState {
   SoaModelConsts k_{};
   std::vector<double> probe_x_;   // n * probe_count_
   std::vector<double> probe_y_;   // n * probe_count_
+  std::vector<double> shape_;     // n * probe_count_
   std::vector<double> src_x_;     // n * ss * img
   std::vector<double> src_y_;     // n * ss * img
   std::vector<double> src_scale_; // n: power / ss (fixed per system)
+  std::vector<Point> probes_scratch_;
+  std::vector<double> shapes_scratch_;
+  std::vector<Point> subs_scratch_;
 
-  // Dispatched pair-row kernels (nullptr = exact scalar path) and level.
+  // Kernel table (never nullptr) and the level it serves.
   const SoaKernelOps* ops_ = nullptr;
   util::SimdLevel simd_level_ = util::SimdLevel::kScalar;
 
   // Journaled per-die row partial sums: mutual_sum_[i * probe_count_ + p] is
   // the mutual term of receiver i at probe p, valid for placed dies while
   // sums_valid_. Mutable because queries materialize/re-reduce lazily.
-  bool patched_query_ = false;
+  bool patched_query_ = true;
   mutable std::vector<double> mutual_sum_;  // n * probe_count_
   mutable bool sums_valid_ = false;
   mutable int patch_epoch_ = 0;  ///< patches since the last full re-reduce
 };
 
-/// Fast-model evaluator with the incremental protocol: behaves exactly like
-/// FastModelEvaluator for batch queries, and answers
-/// incremental_max_temperature() from an IncrementalThermalState kept in
-/// sync with the caller's floorplan via diffing plus explicit notify_* calls.
+/// The fast-model evaluator: max_temperature() and max_temperature_batch()
+/// run FastThermalModel::evaluate() / evaluate_batch(), and
+/// incremental_max_temperature() answers from an IncrementalThermalState
+/// kept in sync with the caller's floorplan via diffing plus explicit
+/// notify_* calls.
 class IncrementalFastModelEvaluator final : public ThermalEvaluator {
  public:
   explicit IncrementalFastModelEvaluator(FastThermalModel model)
@@ -285,11 +273,9 @@ class IncrementalFastModelEvaluator final : public ThermalEvaluator {
   std::string name() const override { return "fast-model-incremental"; }
 
   /// Deep copy with fresh (empty) incremental state — what VecEnv clones for
-  /// each replica. A pinned SIMD level carries over.
+  /// each replica.
   std::unique_ptr<ThermalEvaluator> clone() const override {
-    auto copy = std::make_unique<IncrementalFastModelEvaluator>(model_);
-    copy->forced_level_ = forced_level_;
-    return copy;
+    return std::make_unique<IncrementalFastModelEvaluator>(model_);
   }
 
   bool supports_incremental() const override { return true; }
@@ -311,11 +297,6 @@ class IncrementalFastModelEvaluator final : public ThermalEvaluator {
     return state_ ? &*state_ : nullptr;
   }
 
-  /// Pins the pair-row kernel level for this evaluator's states, current
-  /// and future sessions (forced-scalar benches and differential tests;
-  /// per-instance, unlike the process-wide RLPLANNER_SIMD override).
-  void set_simd_level(util::SimdLevel level);
-
  private:
   /// (Re)binds the session to `system`, detecting both pointer changes and a
   /// different system recycled at the same address.
@@ -324,7 +305,6 @@ class IncrementalFastModelEvaluator final : public ThermalEvaluator {
 
   FastThermalModel model_;
   std::optional<IncrementalThermalState> state_;
-  std::optional<util::SimdLevel> forced_level_;
   const ChipletSystem* session_system_ = nullptr;
   double session_fingerprint_ = 0.0;
   long count_ = 0;

@@ -166,18 +166,42 @@ MutualResistanceTable MutualResistanceTable::resampled_uniform(
   }
   const double span = distances_.back() - distances_.front();
   auto n = static_cast<std::size_t>(std::llround(span / min_gap)) + 1;
-  n = std::clamp<std::size_t>(n, distances_.size(), max_points);
+  // Never more than max_points, even for a table with more knots than that
+  // (std::clamp would need distances_.size() <= max_points).
+  n = std::min(std::max(n, distances_.size()), max_points);
+  const auto resample = [&](double front, double step, double back) {
+    std::vector<double> distances(n);
+    std::vector<double> values(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const double d =
+          i + 1 == n ? back : front + static_cast<double>(i) * step;
+      distances[i] = d;
+      values[i] = lookup(d);
+    }
+    return MutualResistanceTable(std::move(distances), std::move(values));
+  };
   const double step = span / static_cast<double>(n - 1);
-  std::vector<double> distances(n);
-  std::vector<double> values(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double d = i + 1 == n
-                         ? distances_.back()
-                         : distances_.front() + static_cast<double>(i) * step;
-    distances[i] = d;
-    values[i] = lookup(d);
-  }
-  return MutualResistanceTable(std::move(distances), std::move(values));
+  MutualResistanceTable plain =
+      resample(distances_.front(), step, distances_.back());
+  // The plain grid is kept whenever it passes, so every table it serves
+  // keeps its knots exactly.
+  if (plain.is_uniform()) return plain;
+  // Rounding of front + i * step broke the uniformity check (many knots far
+  // from 0). Snap front down and step up to multiples of a power of two q,
+  // small against the step but large enough that every knot is below
+  // 2^42 * q: every knot front + i * step is then exact, so every gap is
+  // exactly step and the grid, which covers the original range, is uniform
+  // by construction.
+  const double reach = std::max(std::abs(distances_.front()),
+                                std::abs(distances_.back())) + span;
+  const double q = std::ldexp(
+      1.0, std::max(std::ilogb(step) - 26, std::ilogb(reach) - 40));
+  const double front = std::floor(distances_.front() / q) * q;
+  const double snapped =
+      std::ceil((distances_.back() - front) / static_cast<double>(n - 1) / q) *
+      q;
+  return resample(front, snapped,
+                  front + static_cast<double>(n - 1) * snapped);
 }
 
 void MutualResistanceTable::save(std::ostream& os) const {

@@ -2,7 +2,9 @@
 
 namespace rlplan::thermal {
 
-const SoaKernelOps* soa_kernel_ops(util::SimdLevel level) {
+namespace {
+
+const SoaKernelOps* simd_table(util::SimdLevel level) {
   switch (level) {
     case util::SimdLevel::kAvx2:
       // The AVX2 TU is compiled into every x86-64 binary; gate on the
@@ -20,9 +22,19 @@ const SoaKernelOps* soa_kernel_ops(util::SimdLevel level) {
   return nullptr;
 }
 
+}  // namespace
+
+const SoaKernelOps* soa_kernel_ops(util::SimdLevel level) {
+  const SoaKernelOps* ops = simd_table(level);
+  return ops != nullptr ? ops : soa_kernel_ops_scalar();
+}
+
+util::SimdLevel soa_served_level(util::SimdLevel level) {
+  return simd_table(level) != nullptr ? level : util::SimdLevel::kScalar;
+}
+
 util::SimdLevel soa_dispatch_level() {
-  const util::SimdLevel level = util::active_simd_level();
-  return soa_kernel_ops(level) != nullptr ? level : util::SimdLevel::kScalar;
+  return soa_served_level(util::active_simd_level());
 }
 
 }  // namespace rlplan::thermal

@@ -1,34 +1,37 @@
-// Explicitly vectorized implementations of the SoA batch kernel's hot loop,
-// selected at runtime via util/simd.
+// The fast model's mutual-coupling kernel: one function-pointer table per
+// SIMD level, selected at runtime via util/simd. These tables are the only
+// implementation of the mutual term R_mut(d) * P in the library — the batch
+// snapshot (SoaSnapshot, which also serves FastThermalModel::evaluate()) and
+// the incremental engine (IncrementalThermalState) both call through them.
 //
-// Conceptually the kernel is two passes — pass 1 (distance -> capped table
-// coordinate -> segment index + fraction) and pass 2 (segment-LUT gather /
-// interpolate / accumulate) — and the scalar reference in SoaSnapshot keeps
-// them as two separate sweeps because that is what auto-vectorizes best.
-// The explicit kernels fuse both passes into ONE sweep per source block: the
-// index/fraction intermediates never round-trip through memory (at
-// production block sizes of ~18-36 points the store/reload traffic costs as
-// much as the arithmetic), and each block reduces straight to its subtotal.
+// Every table fuses the two conceptual passes — distance -> capped table
+// coordinate -> segment index + fraction, then segment-LUT interpolate /
+// accumulate — into ONE sweep per source block, so the index/fraction
+// intermediates never round-trip through memory.
 //
-// Numerical contract (gated by tests/soa_kernel_test.cpp at the repo-wide
-// 1e-9 C bar):
-//  * the per-point operations are exactly the scalar kernel's (sqrt,
-//    min/max, one multiply, truncate, one fused lerp). sqrt/min/max are
-//    correctly rounded in both, so a point can differ from the scalar pass
-//    only when FMA contraction of the distance square shifts a coordinate by
-//    an ulp across a segment boundary — the interpolant is continuous there,
-//    so the value error stays at ulp level.
-//  * accumulation keeps the per-SOURCE order of the scalar kernel (one
-//    subtotal per source block, blocks combined by the caller in scalar
-//    order), so error does not grow with die count. Within a source block
-//    the lanes sum in a fixed tree order instead of strictly left-to-right:
-//    a few-ulp difference on the block subtotal, identical for every run
-//    and thread count.
+// Three tables exist:
+//  * scalar (soa_kernels_scalar.cpp) — portable C++, always available; it is
+//    what kScalar, RLPLANNER_SIMD=scalar and hosts without AVX2/NEON run.
+//    Built with -fno-math-errno so sqrt compiles to the instruction.
+//  * AVX2 + FMA (soa_kernels_avx2.cpp, per-file -mavx2 -mfma on x86-64).
+//  * NEON (soa_kernels_neon.cpp, AArch64 baseline).
+// On foreign architectures the AVX2/NEON TUs compile to stubs returning
+// nullptr, and soa_kernel_ops() serves the scalar table in their place.
 //
-// Each ISA lives in its own translation unit (soa_kernels_avx2.cpp built
-// with -mavx2 -mfma on x86-64, soa_kernels_neon.cpp on AArch64); on foreign
-// architectures those TUs compile to a stub returning nullptr, so the
-// dispatch below degrades to scalar instead of failing to link.
+// Numerical contract (gated by tests/soa_kernel_test.cpp):
+//  * within one table, the sweep and pair-row forms share one block routine,
+//    so a pair row equals the matching sweep subtotal BIT FOR BIT — which is
+//    what makes the incremental engine's full re-sum equal to the batch
+//    result at every level.
+//  * each block reduces in a fixed lane tree: in the scalar and AVX2 tables
+//    lane k sums points k, k+4, k+8, ... and the subtotal is
+//    (l0 + l2) + (l1 + l3); NEON keeps two lanes, l0 + l1. The tail points
+//    then add left to right. Identical for every run and thread count.
+//  * across tables, results differ only by FMA contraction (distance square,
+//    interpolation, weighting) and lane grouping: ulp-level per term,
+//    asserted within the repo-wide 1e-9 C bar.
+//  * blocks combine per SOURCE in ascending order (one subtotal per source
+//    block, summed by the caller), so error does not grow with die count.
 #pragma once
 
 #include <cstddef>
@@ -37,27 +40,19 @@
 
 namespace rlplan::thermal {
 
-/// Function-pointer table for one SIMD level. Each entry is a fused sweep
-/// over `n_src` source blocks of `pts_per_src` points: for every a in
-/// [0, n_src), subtotal[a] accumulates the interpolated decay over points
-/// [a*pts_per_src, (a+1)*pts_per_src) of sx/sy. One indirect call covers a
-/// whole probe — per-(probe, source) calls would be dominated by call and
-/// constant-setup cost at production block sizes. All lengths are in points;
-/// buffers may be unaligned (the snapshot's std::vector storage).
-///
-/// Shared per-point math: d = sqrt((sx[k]-px)^2 + (sy[k]-py)^2);
+/// Function-pointer table for one SIMD level. Shared per-point math:
+/// d = sqrt((sx[k]-px)^2 + (sy[k]-py)^2);
 /// x = min((clamp(d, front, back) - front) * inv_step, cap);
 /// (base, diff) = lut[2*trunc(x)], lut[2*trunc(x)+1]; v = base +
-/// (x - trunc(x)) * diff.
+/// (x - trunc(x)) * diff. All lengths are in points; buffers may be
+/// unaligned (std::vector storage).
 struct SoaKernelOps {
-  /// Images with unit weights: subtotal[a] = sum of max(v, 0).
-  void (*sweep_unit)(const double* sx, const double* sy, double px, double py,
-                     double front, double back, double inv_step, double cap,
-                     const double* lut, std::size_t pts_per_src,
-                     std::size_t n_src, double* subtotal);
-  /// Images with per-point weights: subtotal[a] = sum of w[t]*max(v, 0),
-  /// where w holds ONE block's weights (pts_per_src entries) reused for
-  /// every source block.
+  // Sweep forms: one probe against `n_src` source blocks of `pts_per_src`
+  // points each; subtotal[a] covers points [a*pts_per_src, (a+1)*pts_per_src)
+  // of sx/sy. One indirect call covers a whole probe.
+
+  /// Images: subtotal[a] = sum of w[t]*max(v, 0), where w holds ONE block's
+  /// weights (pts_per_src entries) reused for every source block.
   void (*sweep_weighted)(const double* sx, const double* sy, double px,
                          double py, double front, double back, double inv_step,
                          double cap, const double* lut, const double* w,
@@ -69,22 +64,12 @@ struct SoaKernelOps {
                     const double* lut, std::size_t pts_per_src,
                     std::size_t n_src, double* subtotal);
 
-  // Pair-row forms: one (receiver, source) coupling row — the transpose of
-  // the sweep forms (one source block against MANY probes instead of one
-  // probe against many source blocks). For every p in [0, n_probes), out[p]
-  // accumulates over the single `pts`-point block in sx/sy, with the same
-  // per-point math and the same fixed-tree block reduction as the sweeps —
-  // out[p] is bit-identical to the subtotal the matching sweep form produces
-  // for that (probe, block). One indirect call covers the whole row, which
-  // is the granularity the incremental single-move path recomputes at.
+  // Pair-row forms: the transpose — one `pts`-point source block against
+  // `n_probes` probes; out[p] is the subtotal the matching sweep form
+  // produces for (probe p, that block), bit for bit. One call covers one
+  // (receiver, source) coupling row, the incremental engine's unit of work.
 
-  /// Images with unit weights: out[p] = sum of max(v, 0) over the block.
-  void (*pair_unit)(const double* px, const double* py, std::size_t n_probes,
-                    const double* sx, const double* sy, std::size_t pts,
-                    double front, double back, double inv_step, double cap,
-                    const double* lut, double* out);
-  /// Images with per-point weights (w holds `pts` entries): out[p] = sum of
-  /// w[k]*max(v, 0) over the block.
+  /// Images (w holds `pts` entries): out[p] = sum of w[k]*max(v, 0).
   void (*pair_weighted)(const double* px, const double* py,
                         std::size_t n_probes, const double* sx,
                         const double* sy, std::size_t pts, double front,
@@ -97,17 +82,23 @@ struct SoaKernelOps {
                    const double* lut, double* out);
 };
 
-/// Ops for `level`, or nullptr when the level is kScalar or its kernels are
-/// not compiled in / not supported by this build's architecture. Callers
-/// fall back to their scalar reference path on nullptr.
+/// The table for `level`; never nullptr. A level whose kernels are not
+/// compiled in or not supported by the host gets the scalar table — never a
+/// different SIMD flavour.
 const SoaKernelOps* soa_kernel_ops(util::SimdLevel level);
 
-/// The level soa_kernel_ops() would actually serve for util::active_simd_level()
-/// — i.e. the process-wide dispatch choice with unavailable levels collapsed
-/// to kScalar. This is the value benches publish.
+/// The level `level` actually runs at: itself when its table is available,
+/// kScalar otherwise.
+util::SimdLevel soa_served_level(util::SimdLevel level);
+
+/// soa_served_level(util::active_simd_level()) — the process-wide dispatch
+/// choice with unavailable levels collapsed to kScalar. This is the value
+/// benches publish.
 util::SimdLevel soa_dispatch_level();
 
-// Per-ISA tables (defined in their own TUs; nullptr when unavailable).
+// Per-ISA tables (defined in their own TUs; the SIMD ones are nullptr when
+// unavailable on this architecture).
+const SoaKernelOps* soa_kernel_ops_scalar();
 const SoaKernelOps* soa_kernel_ops_avx2();
 const SoaKernelOps* soa_kernel_ops_neon();
 

@@ -22,18 +22,10 @@ void SoaModelConsts::bind(const FastThermalModel& model) {
   use_images = model.config().use_images;
   img = use_images ? 9 : 1;
   const double r = model.config().image_reflectivity;
-  // Weight per image point, in the exact accumulation order of
-  // FastThermalModel::image_kernel(): direct, 4 side mirrors, 4 corner
-  // double-mirrors. r * r is precomputed because image_kernel's corner term
-  // evaluates (reflectivity * reflectivity) first — same double either way.
+  // Weight per image point: direct, 4 side mirrors, 4 corner
+  // double-mirrors.
   const double w9[9] = {1.0, r, r, r, r, r * r, r * r, r * r, r * r};
   std::copy(w9, w9 + 9, img_w);
-  // Unit image weights (reflectivity 1.0, the adiabatic-rim default) let the
-  // kernels take a multiply-free accumulation; w * decay with w == 1.0 is
-  // the identity, so both variants produce the same doubles.
-  unit_weights = use_images && img_w[1] == 1.0;
-  correct_pairs =
-      model.config().correct_mutual && model.has_position_correction();
   floor = model.uniform_floor();
   ambient_c = model.ambient_c();
   pkg_w = model.package_w_mm();
@@ -48,7 +40,11 @@ void SoaModelConsts::bind(const FastThermalModel& model) {
         "SoaModelConsts: mutual table needs >= 2 knots, got " +
         std::to_string(mutual.size));
   }
-  uniform = mutual.inv_step > 0.0;
+  if (!(mutual.inv_step > 0.0)) {
+    throw std::logic_error(
+        "SoaModelConsts: mutual table is not uniform-step (FastThermalModel "
+        "resamples every table it is built with)");
+  }
   lut_img.assign(2 * mutual.size, 0.0);
   lut_raw.assign(2 * mutual.size, 0.0);
   for (std::size_t i = 0; i < mutual.size; ++i) {
@@ -80,8 +76,6 @@ void SoaModelConsts::expand_source_point(const Point& s, double* xs,
     ys[0] = s.y;
     return;
   }
-  // Mirror coordinates in image_kernel's emission order; the expressions
-  // match image_kernel's mx/my arrays bit-for-bit.
   const double mx0 = -s.x;
   const double mx1 = 2.0 * pkg_w - s.x;
   const double my0 = -s.y;
@@ -92,11 +86,9 @@ void SoaModelConsts::expand_source_point(const Point& s, double* xs,
   std::copy(exp_y, exp_y + 9, ys);
 }
 
-util::SimdLevel SoaSnapshot::dispatch_level() { return soa_dispatch_level(); }
-
 util::SimdLevel SoaSnapshot::set_simd_level(util::SimdLevel level) {
   ops_ = soa_kernel_ops(level);
-  simd_level_ = ops_ != nullptr ? level : util::SimdLevel::kScalar;
+  simd_level_ = soa_served_level(level);
   return simd_level_;
 }
 
@@ -118,8 +110,8 @@ SoaSnapshot::SoaSnapshot(const FastThermalModel& model,
   src_corr_.reserve(n_);
   src_x_.reserve(n_ * k_.ss * k_.img);
   src_y_.reserve(n_ * k_.ss * k_.img);
-  coord_.reserve(n_ * k_.ss * k_.img);
   pair_corr_.reserve(n_);
+  sub_.reserve(n_);
 }
 
 void SoaSnapshot::refresh(const Floorplan& floorplan) {
@@ -141,8 +133,8 @@ void SoaSnapshot::refresh(const Floorplan& floorplan) {
     placed_[i] = floorplan.is_placed(i) ? 1 : 0;
     if (!placed_[i]) continue;
     const Rect rect = floorplan.rect_of(i);
-    // The per-die scalar terms go through the model's own building blocks,
-    // so they are the very doubles evaluate() computes.
+    // The per-die terms go through the model's own building blocks, the
+    // same ones the incremental engine calls.
     model_->receiver_probes(rect, probes_scratch_, shapes_scratch_);
     for (std::size_t p = 0; p < pc; ++p) {
       probe_x_[i * pc + p] = probes_scratch_[p].x;
@@ -171,87 +163,7 @@ void SoaSnapshot::refresh(const Floorplan& floorplan) {
   }
 }
 
-double SoaSnapshot::receiver_rise_uniform(std::size_t i) const {
-  const std::size_t n_src = src_die_.size();
-  const std::size_t pts_per_src = k_.ss * k_.img;
-  const std::size_t total = n_src * pts_per_src;
-  const double* sx = src_x_.data();
-  const double* sy = src_y_.data();
-  int* idx = idx_.data();
-  double* frac = frac_.data();
-  const double front = k_.mutual.front;
-  const double back = k_.mutual.back;
-  const double inv = k_.mutual.inv_step;
-  const double cap = k_.coord_cap;
-  const double* lut_img = k_.lut_img.data();
-  const double* lut_raw = k_.lut_raw.data();
-  const double floor = k_.floor;
-  const double self = self_rise_[i];
-  const bool use_images = k_.use_images;
-  const bool unit_weights = k_.unit_weights;
-  const std::size_t ss = k_.ss;
-  const std::size_t pc = k_.pc;
-
-  double worst = 0.0;
-  for (std::size_t p = 0; p < pc; ++p) {
-    const double px = probe_x_[i * pc + p];
-    const double py = probe_y_[i * pc + p];
-    // Pass 1 — distance to capped table coordinate to segment index +
-    // fraction, one fused sweep: contiguous loads, no branches, no indexed
-    // access. The whole loop auto-vectorizes, sqrt and the packed
-    // double<->int32 conversions included (which is why CMake builds this
-    // file with -fno-math-errno).
-    for (std::size_t k = 0; k < total; ++k) {
-      const double d = kernel_distance(sx[k] - px, sy[k] - py);
-      const double x = std::min(
-          (std::min(std::max(d, front), back) - front) * inv, cap);
-      const int ii = static_cast<int>(x);
-      idx[k] = ii;
-      frac[k] = x - static_cast<double>(ii);
-    }
-    // Pass 2 — gather + accumulate in evaluate()'s source order. The
-    // interpolation reads the precomputed segment LUT: base + frac * diff
-    // equals evaluate()'s division-form lerp to within ~2 ulp.
-    double mutual = 0.0;
-    for (std::size_t a = 0; a < n_src; ++a) {
-      if (src_die_[a] == i) continue;
-      const std::size_t base = a * pts_per_src;
-      const int* ix = idx + base;
-      const double* fr = frac + base;
-      double m = 0.0;
-      if (use_images) {
-        for (std::size_t s = 0; s < ss; ++s) {
-          double k = 0.0;
-          if (unit_weights) {
-            for (std::size_t t = 0; t < 9; ++t) {
-              const double* seg = lut_img + 2 * ix[s * 9 + t];
-              k += std::max(seg[0] + fr[s * 9 + t] * seg[1], 0.0);
-            }
-          } else {
-            for (std::size_t t = 0; t < 9; ++t) {
-              const double* seg = lut_img + 2 * ix[s * 9 + t];
-              k += k_.img_w[t] *
-                   std::max(seg[0] + fr[s * 9 + t] * seg[1], 0.0);
-            }
-          }
-          m += floor + k;
-        }
-      } else {
-        for (std::size_t s = 0; s < ss; ++s) {
-          const double* seg = lut_raw + 2 * ix[s];
-          m += seg[0] + fr[s] * seg[1];
-        }
-      }
-      m *= src_scale_[a];
-      m *= pair_corr_[a];
-      mutual += m;
-    }
-    worst = std::max(worst, self * shape_[i * pc + p] + mutual);
-  }
-  return worst;
-}
-
-double SoaSnapshot::receiver_rise_uniform_simd(std::size_t i) const {
+double SoaSnapshot::receiver_rise(std::size_t i) const {
   const std::size_t n_src = src_die_.size();
   const std::size_t pts_per_src = k_.ss * k_.img;
   const double* sx = src_x_.data();
@@ -267,10 +179,7 @@ double SoaSnapshot::receiver_rise_uniform_simd(std::size_t i) const {
   for (std::size_t p = 0; p < pc; ++p) {
     const double px = probe_x_[i * pc + p];
     const double py = probe_y_[i * pc + p];
-    // One fused sweep per probe covers every source block: both conceptual
-    // passes run in a single loop (the index/fraction intermediates of the
-    // scalar kernel's two-pass form never round-trip through memory, which
-    // at ~18-36-point blocks costs as much as the arithmetic), and the one
+    // One fused sweep per probe covers every source block, so the one
     // indirect call amortizes over the probe instead of per source.
     // Self-interaction blocks are computed too (their inputs are valid, the
     // result is discarded below) — that wastes 1/n_src of the sweep, far
@@ -279,70 +188,18 @@ double SoaSnapshot::receiver_rise_uniform_simd(std::size_t i) const {
       ops.sweep_raw(sx, sy, px, py, k_.mutual.front, k_.mutual.back,
                     k_.mutual.inv_step, k_.coord_cap, k_.lut_raw.data(),
                     pts_per_src, n_src, sub);
-    } else if (k_.unit_weights) {
-      ops.sweep_unit(sx, sy, px, py, k_.mutual.front, k_.mutual.back,
-                     k_.mutual.inv_step, k_.coord_cap, k_.lut_img.data(),
-                     pts_per_src, n_src, sub);
     } else {
       ops.sweep_weighted(sx, sy, px, py, k_.mutual.front, k_.mutual.back,
                          k_.mutual.inv_step, k_.coord_cap, k_.lut_img.data(),
                          k_.w_flat.data(), pts_per_src, n_src, sub);
     }
-    // Sources combine in the scalar kernel's order (one subtotal per source,
-    // scaled then summed ascending), so only the within-source lane order
-    // differs from the reference — the documented few-ulp envelope.
+    // Sources combine ascending, one subtotal per source: floor, then power
+    // share, then pair correction — the order IncrementalThermalState
+    // applies to a pair row, so its full re-sum reproduces these doubles.
     double mutual = 0.0;
     for (std::size_t a = 0; a < n_src; ++a) {
       if (src_die_[a] == i) continue;
       double m = use_images ? floor_per_src + sub[a] : sub[a];
-      m *= src_scale_[a];
-      m *= pair_corr_[a];
-      mutual += m;
-    }
-    worst = std::max(worst, self * shape_[i * pc + p] + mutual);
-  }
-  return worst;
-}
-
-double SoaSnapshot::receiver_rise_exact(std::size_t i) const {
-  const std::size_t n_src = src_die_.size();
-  const std::size_t pts_per_src = k_.ss * k_.img;
-  const std::size_t total = n_src * pts_per_src;
-  const double* sx = src_x_.data();
-  const double* sy = src_y_.data();
-  double* dist = coord_.data();
-  const MutualResistanceTable::View mt = k_.mutual;
-  const double floor = k_.floor;
-  const double self = self_rise_[i];
-  const bool use_images = k_.use_images;
-  const std::size_t ss = k_.ss;
-  const std::size_t pc = k_.pc;
-
-  double worst = 0.0;
-  for (std::size_t p = 0; p < pc; ++p) {
-    const double px = probe_x_[i * pc + p];
-    const double py = probe_y_[i * pc + p];
-    for (std::size_t k = 0; k < total; ++k) {
-      dist[k] = kernel_distance(sx[k] - px, sy[k] - py);
-    }
-    double mutual = 0.0;
-    for (std::size_t a = 0; a < n_src; ++a) {
-      if (src_die_[a] == i) continue;
-      const double* d = dist + a * pts_per_src;
-      double m = 0.0;
-      if (use_images) {
-        for (std::size_t s = 0; s < ss; ++s) {
-          double k = 0.0;
-          for (std::size_t t = 0; t < 9; ++t) {
-            k += k_.img_w[t] * std::max(mt.lookup(d[s * 9 + t]) - floor, 0.0);
-          }
-          m += floor + k;
-        }
-      } else {
-        for (std::size_t s = 0; s < ss; ++s) {
-          m += mt.lookup(d[s]);
-        }
-      }
       m *= src_scale_[a];
       m *= pair_corr_[a];
       mutual += m;
@@ -358,32 +215,39 @@ void SoaSnapshot::evaluate(FastThermalResult& out) const {
   out.eval_seconds = 0.0;
 
   const std::size_t n_src = src_die_.size();
-  coord_.resize(n_src * k_.ss * k_.img);
-  idx_.resize(n_src * k_.ss * k_.img);
-  frac_.resize(n_src * k_.ss * k_.img);
   pair_corr_.resize(n_src);
   sub_.resize(n_src);
 
   for (std::size_t i = 0; i < n_; ++i) {
     if (!placed_[i]) continue;
     const double c_dst = corr_[i];
-    // Hoisted per receiver: the pair factor evaluate() recomputes per
-    // (probe, source) is probe-independent, and multiplying by the same
-    // double later yields the same product.
+    // Hoisted per receiver: the pair factor is probe-independent.
     for (std::size_t a = 0; a < n_src; ++a) {
-      pair_corr_[a] =
-          k_.correct_pairs ? std::sqrt(src_corr_[a] * c_dst) : 1.0;
+      pair_corr_[a] = model_->pair_correction(src_corr_[a], c_dst);
     }
-    const double rise = !k_.uniform          ? receiver_rise_exact(i)
-                        : ops_ != nullptr    ? receiver_rise_uniform_simd(i)
-                                             : receiver_rise_uniform(i);
-    out.chiplet_temp_c[i] = k_.ambient_c + rise;
+    out.chiplet_temp_c[i] = k_.ambient_c + receiver_rise(i);
   }
 
   out.max_temp_c = k_.ambient_c;
   for (double t : out.chiplet_temp_c) {
     out.max_temp_c = std::max(out.max_temp_c, t);
   }
+}
+
+FastThermalResult FastThermalModel::evaluate(const ChipletSystem& system,
+                                             const Floorplan& floorplan) const {
+  if (empty()) {
+    throw std::logic_error("FastThermalModel: evaluate on empty model");
+  }
+  RLPLAN_TRACE_SPAN("thermal.evaluate");
+  RLPLAN_COUNTER_INC("thermal.evaluate.calls");
+  const Timer timer;
+  SoaSnapshot snapshot(*this, system);
+  snapshot.refresh(floorplan);
+  FastThermalResult result;
+  snapshot.evaluate(result);
+  result.eval_seconds = timer.seconds();
+  return result;
 }
 
 std::vector<FastThermalResult> FastThermalModel::evaluate_batch(

@@ -1,12 +1,7 @@
-// Structure-of-arrays snapshot + tiled kernel for batched fast-model
-// evaluation.
-//
-// FastThermalModel::evaluate() walks pointer-chased per-chiplet structures
-// (std::optional<Rect> placements, per-call std::vector scratch, cross-TU
-// table lookups) one pair at a time. That is fine for one query, but
-// whole-floorplan evaluation is the cost driver for SA multi-start rounds,
-// PPO batch scoring, and the regression suite. SoaSnapshot flattens one
-// system's evaluation state into contiguous arrays:
+// Structure-of-arrays snapshot: the one whole-floorplan evaluator of the
+// fast model. FastThermalModel::evaluate() runs a batch of one through it,
+// evaluate_batch() a batch of many. SoaSnapshot flattens one system's
+// evaluation state into contiguous arrays:
 //
 //   * per die: probe points, self-heating shape factors, self rise,
 //     position-correction factor (refreshed in place per floorplan);
@@ -14,32 +9,21 @@
 //     through the method-of-images mirrors, packed as flat x/y arrays with a
 //     shared 9-entry weight vector [1, r, r, r, r, r^2, r^2, r^2, r^2].
 //
-// The kernel then runs two tiled passes per receiver probe: a sweep turning
-// every source-point distance into a clamped table coordinate (sqrt,
-// min/max, one multiply — no branches, no indexed loads), and an
-// accumulation pass that resolves the interpolation from a precomputed
-// base/diff lookup table and sums contributions per source in exactly the
-// order evaluate() uses. The kernel exists twice: portable scalar reference
-// loops keep the passes separate (pass 1 auto-vectorizes; pass 2 is a
-// scalar gather), while the explicit AVX2/NEON kernels
-// (thermal/soa_kernels_*.cpp) fuse both passes into one sweep per source
-// block — the index/fraction intermediates never round-trip through memory
-// — selected at runtime via util/simd. RLPLANNER_SIMD=scalar forces the
-// reference path, and set_simd_level() overrides per snapshot for
-// differential testing. SIMD results stay within the 1e-9 C envelope of the
-// scalar path (per-source subtotals reduce lanes in a fixed tree instead of
-// left-to-right).
+// Per receiver probe, one call to the snapshot's kernel table
+// (thermal/soa_kernels.h: scalar, AVX2 or NEON, picked at runtime via
+// util/simd) sweeps every source block into a per-source subtotal; the
+// subtotals then combine in ascending source order. RLPLANNER_SIMD=scalar
+// forces the scalar table, and set_simd_level() overrides per snapshot for
+// differential testing.
 //
-// Numerical contract (asserted by tests/soa_kernel_test.cpp): the
-// accumulation order is identical to evaluate()'s, so no error grows with
-// the die count. For the production case — a uniform-step mutual table,
-// which FastThermalModel guarantees by resampling at construction — the
-// interpolation uses the fraction form base[i] + frac * (v[i+1] - v[i])
-// instead of evaluate()'s division form, which differs by at most a couple
-// of ulp per term (~1e-12 C on the summed temperatures; the suite gates at
-// 1e-9 C, the repo-wide equivalence bar). Non-uniform tables take a
-// fallback pass that replicates evaluate()'s arithmetic operation for
-// operation and is bit-identical.
+// Numerical contract (asserted by tests/soa_kernel_test.cpp): sources
+// combine in ascending order, so no error grows with the die count. The
+// mutual table is uniform-step — FastThermalModel resamples it at
+// construction, and SoaModelConsts::bind rejects anything else — so the
+// interpolation is the fraction form base[i] + frac * (v[i+1] - v[i]). It
+// differs from MutualResistanceTable::lookup()'s division form by at most a
+// couple of ulp per term; every table stays within 1e-9 C of the
+// division-form reference oracle in tests/support.
 //
 // Lifecycle: bind once per (model, system) — sizes and powers are fixed —
 // then refresh() per candidate floorplan and evaluate(). One snapshot per
@@ -76,26 +60,22 @@ inline std::pair<std::size_t, std::size_t> batch_lane_range(std::size_t b,
 }
 
 /// Bind-time model constants shared by every SoA kernel consumer —
-/// SoaSnapshot's batch sweeps and IncrementalThermalState's pair-row path:
-/// image weights, the interleaved (base, diff) interpolation LUTs, the
-/// capped coordinate transform, and the flat per-point weight vector. Built
-/// once per model; everything here is placement-independent.
+/// SoaSnapshot's sweeps and IncrementalThermalState's pair rows: image
+/// weights, the interleaved (base, diff) interpolation LUTs, the capped
+/// coordinate transform, and the flat per-point weight vector. Built once
+/// per model; everything here is placement-independent.
 struct SoaModelConsts {
   std::size_t pc = 0;          ///< receiver probes per die
   std::size_t ss = 1;          ///< sub-sources per die
   std::size_t img = 1;         ///< image points per sub-source (9 or 1)
   bool use_images = false;
-  bool unit_weights = false;   ///< use_images with reflectivity exactly 1.0
-  bool correct_pairs = false;  ///< correct_mutual with a table installed
-  bool uniform = false;        ///< uniform-step mutual table (the production
-                               ///< case; guaranteed after model resampling)
   double floor = 0.0;          ///< uniform rise floor (K/W)
   double ambient_c = 0.0;
   double pkg_w = 0.0;          ///< package extents, for the image mirrors
   double pkg_h = 0.0;
   double img_w[9] = {1.0};     ///< per-image weights (direct, sides, corners)
-  /// img_w tiled ss times: the flat per-point weight vector the SIMD
-  /// weighted passes consume (empty when images are off).
+  /// img_w tiled ss times: the flat per-point weight vector the weighted
+  /// kernels consume (empty when images are off).
   std::vector<double> w_flat;
   MutualResistanceTable::View mutual{};
   // Uniform-table interpolation LUTs, interleaved as (base, diff) pairs per
@@ -108,13 +88,15 @@ struct SoaModelConsts {
 
   /// Binds to `model` (which must outlive any use of the views). Throws
   /// std::invalid_argument when the model is empty or its mutual table has
-  /// fewer than 2 knots.
+  /// fewer than 2 knots, and std::logic_error when the mutual table is not
+  /// uniform-step (FastThermalModel resamples every table it is built with,
+  /// so that means a broken invariant, not bad input).
   void bind(const FastThermalModel& model);
 
-  /// Expands one sub-source into its `img` coordinate pairs (xs/ys) in
-  /// FastThermalModel::image_kernel()'s emission order — the mirror
-  /// expressions match image_kernel's mx/my arrays bit-for-bit. Without
-  /// images this writes the point itself.
+  /// Expands one sub-source into its `img` coordinate pairs (xs/ys): the
+  /// point itself, its 4 side mirrors and 4 corner double-mirrors about the
+  /// package edges (the order of img_w). Without images this writes the
+  /// point itself.
   void expand_source_point(const Point& s, double* xs, double* ys) const;
 };
 
@@ -136,31 +118,23 @@ class SoaSnapshot {
   /// system.
   void refresh(const Floorplan& floorplan);
 
-  /// Temperatures of the refreshed placement, matching
-  /// FastThermalModel::evaluate() on the same floorplan under the numerical
-  /// contract above: within 1e-9 C for uniform mutual tables (the production
-  /// case), bit-identical on the non-uniform fallback. eval_seconds is left
-  /// 0 for the caller to stamp.
+  /// Temperatures of the refreshed placement under the numerical contract
+  /// above. eval_seconds is left 0 for the caller to stamp.
   void evaluate(FastThermalResult& out) const;
 
   /// Number of active sources (placed dies with power > 0) in the last
   /// refresh.
   std::size_t num_sources() const { return src_die_.size(); }
 
-  /// The SIMD level this snapshot's uniform-table kernel actually runs at.
-  /// New snapshots start at dispatch_level(); kScalar means the reference
-  /// loops (always the case for non-uniform tables, whatever this reports).
+  /// The SIMD level of this snapshot's kernel table. New snapshots start at
+  /// soa_dispatch_level() (thermal/soa_kernels.h).
   util::SimdLevel simd_level() const { return simd_level_; }
 
-  /// Overrides the kernel selection for this snapshot (differential tests,
+  /// Overrides the kernel table for this snapshot (differential tests,
   /// forced-scalar benches). Levels whose kernels are not compiled in or not
-  /// supported by the host fall back to kScalar — never to a different SIMD
+  /// supported by the host get the scalar table — never a different SIMD
   /// level. Returns the level actually installed.
   util::SimdLevel set_simd_level(util::SimdLevel level);
-
-  /// Process-wide default kernel level: util::active_simd_level() with
-  /// unavailable levels collapsed to kScalar (what benches publish).
-  static util::SimdLevel dispatch_level();
 
  private:
   const FastThermalModel* model_ = nullptr;
@@ -184,30 +158,21 @@ class SoaSnapshot {
   std::vector<double> src_x_;         // num_sources * ss * img
   std::vector<double> src_y_;         // num_sources * ss * img
 
-  // Kernel scratch.
-  mutable std::vector<double> coord_;      // one table-coordinate tile/probe
-  mutable std::vector<int> idx_;           // truncated segment index per point
-  mutable std::vector<double> frac_;       // coordinate fraction per point
+  // Scratch.
   mutable std::vector<double> pair_corr_;  // per-source factor for a receiver
-  mutable std::vector<double> sub_;        // per-source pass-2 subtotals
+  mutable std::vector<double> sub_;        // per-source sweep subtotals
   std::vector<Point> probes_scratch_;
   std::vector<double> shapes_scratch_;
   std::vector<Point> subs_scratch_;
 
-  // Dispatched kernels (nullptr = scalar reference path) and the level they
-  // correspond to; see soa_kernels.h.
+  // Kernel table (never nullptr) and the level it serves; see
+  // soa_kernels.h.
   const SoaKernelOps* ops_ = nullptr;
   util::SimdLevel simd_level_ = util::SimdLevel::kScalar;
 
-  /// Peak rise of receiver i via the fraction-form LUT (uniform tables),
-  /// scalar reference loops.
-  double receiver_rise_uniform(std::size_t i) const;
-  /// As receiver_rise_uniform, through the dispatched SIMD kernels (ops_).
-  /// Within 1e-9 C of the scalar path (soa_kernels.h numerical contract).
-  double receiver_rise_uniform_simd(std::size_t i) const;
-  /// Peak rise of receiver i replicating evaluate()'s arithmetic exactly
-  /// (fallback for non-uniform mutual tables).
-  double receiver_rise_exact(std::size_t i) const;
+  /// Peak rise of receiver i: one kernel sweep per probe plus the
+  /// ascending per-source combination.
+  double receiver_rise(std::size_t i) const;
 };
 
 }  // namespace rlplan::thermal

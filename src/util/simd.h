@@ -1,33 +1,33 @@
 // Runtime SIMD dispatch for the explicitly vectorized hot kernels.
 //
 // The repo builds portable binaries (no -march=native): baseline codegen is
-// SSE2 on x86-64 and plain NEON-less scalar elsewhere. Kernels that want
-// wider vectors (the SoA thermal passes, thermal/soa_kernels_*.cpp) are
-// compiled in dedicated translation units with per-file ISA flags and picked
-// at runtime through this layer, so one binary runs everywhere and uses the
-// widest implementation the host supports.
+// SSE2 on x86-64 and plain NEON-less scalar elsewhere. The fast thermal
+// model's mutual-term kernel exists as one function table per level
+// (thermal/soa_kernels.h): a portable scalar table that is always there,
+// plus AVX2 and NEON tables compiled in dedicated translation units with
+// per-file ISA flags and picked at runtime through this layer, so one
+// binary runs everywhere and uses the widest table the host supports.
 //
 // Selection order:
-//   1. RLPLANNER_SIMD env var, when set: "scalar" disables every explicit
-//      kernel (the always-available reference path), "avx2"/"neon" request a
-//      specific level, "auto" (or unset) defers to detection. Requesting a
-//      level the host or the build cannot provide falls back to scalar —
-//      never to a different SIMD level — so a forced leg tests exactly what
-//      it names.
+//   1. RLPLANNER_SIMD env var, when set: "scalar" selects the scalar table
+//      (no explicit vector code), "avx2"/"neon" request a specific level,
+//      "auto" (or unset) defers to detection. Requesting a level the host or
+//      the build cannot provide falls back to scalar — never to a different
+//      SIMD level — so a forced leg tests exactly what it names.
 //   2. CPU detection: __builtin_cpu_supports("avx2") on x86-64; NEON is
 //      architecturally guaranteed on AArch64.
 //
 // The choice is made once, at first query, and cached for the process (the
 // env var is read at that point). Consumers that want per-instance control
 // for differential testing bypass the cache: SoaSnapshot::set_simd_level for
-// the batch sweep kernels, IncrementalThermalState::set_simd_level for the
-// fused pair-row kernels behind the incremental single-move path.
+// the batch sweeps, IncrementalThermalState::set_simd_level for the pair
+// rows of the incremental single-move path.
 #pragma once
 
 namespace rlplan::util {
 
 enum class SimdLevel {
-  kScalar = 0,  ///< no explicit kernels; portable reference code
+  kScalar = 0,  ///< the portable scalar table; no explicit vector code
   kAvx2 = 1,    ///< x86-64 AVX2 + FMA
   kNeon = 2,    ///< AArch64 Advanced SIMD
 };

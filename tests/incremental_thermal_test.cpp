@@ -1,14 +1,14 @@
 // Equivalence fuzzing for the incremental thermal engine: random
-// place/move/remove/undo/commit sequences must match batch
-// FastThermalModel::evaluate() on every chiplet temperature, across the
-// FastModelConfig variants (images on/off, position correction, droop).
+// place/move/remove/undo/commit sequences must match the batch snapshot
+// evaluator on every chiplet temperature, across the FastModelConfig
+// variants (images on/off, position correction, droop).
 //
-// Two differential axes, one per execution tier (thermal/incremental.h):
-// the forced-scalar state must be BIT-EXACT against batch (EXPECT_EQ on
-// every double), and a dispatched state with the journaled partial-sum
-// query forced on — so the patching machinery exercises even on
-// scalar-only hosts — must stay within the repo-wide 1e-9 C envelope of
-// the forced-scalar state after every mutation.
+// Two differential axes, run at every SIMD level the host can run (scalar
+// always): with the full re-sum query the state must be BIT-EXACT against a
+// snapshot at the same level (EXPECT_EQ on every double — its pair rows are
+// the very doubles the snapshot's sweep sums), and with the default
+// journaled partial-sum query it must stay within the repo-wide 1e-9 C
+// envelope of the full re-sum state after every mutation.
 #include "thermal/incremental.h"
 
 #include <gtest/gtest.h>
@@ -21,6 +21,7 @@
 #include "core/floorplan.h"
 #include "fuzz_util.h"
 #include "rl/env.h"
+#include "support/thermal_oracle.h"
 #include "systems/synthetic.h"
 #include "thermal/evaluator.h"
 #include "util/rng.h"
@@ -29,7 +30,10 @@
 namespace rlplan::thermal {
 namespace {
 
+using rlplan::testing::EvaluateOnlyEvaluator;
 using rlplan::testing::fuzz_scale;
+using rlplan::testing::reference_evaluate;
+using rlplan::testing::runnable_simd_levels;
 
 constexpr double kInterposer = 50.0;
 
@@ -126,11 +130,25 @@ Placement random_placement(const ChipletSystem& sys, std::size_t i, Rng& rng) {
           rotated};
 }
 
+/// Batch temperatures of `fp` through a snapshot at the state's SIMD level.
+FastThermalResult batch_at_level(const IncrementalThermalState& state,
+                                 const Floorplan& fp) {
+  SoaSnapshot snapshot(state.model(), state.system());
+  snapshot.set_simd_level(state.simd_level());
+  snapshot.refresh(fp);
+  FastThermalResult out;
+  snapshot.evaluate(out);
+  return out;
+}
+
+/// `exact`: the state must equal a snapshot at its own level bit for bit
+/// (full re-sum mode); otherwise within 1e-9 C of the reference oracle.
 void expect_state_matches_batch(const IncrementalThermalState& state,
-                                const FastThermalModel& model,
-                                const ChipletSystem& sys, const Floorplan& fp,
-                                const char* context, bool exact = false) {
-  const auto batch = model.evaluate(sys, fp);
+                                const Floorplan& fp, const char* context,
+                                bool exact = false) {
+  const auto batch = exact ? batch_at_level(state, fp)
+                           : reference_evaluate(state.model(), state.system(),
+                                                fp);
   std::vector<double> temps;
   state.temperatures(temps);
   ASSERT_EQ(temps.size(), batch.chiplet_temp_c.size());
@@ -150,29 +168,29 @@ void expect_state_matches_batch(const IncrementalThermalState& state,
   }
 }
 
-/// The dispatched-tier contract: within 1e-9 C of the forced-scalar state
+/// The patched-query contract: within 1e-9 C of the full re-sum state
 /// holding the identical placement, on every chiplet and the peak.
-void expect_states_agree(const IncrementalThermalState& dispatched,
-                         const IncrementalThermalState& scalar,
+void expect_states_agree(const IncrementalThermalState& patched,
+                         const IncrementalThermalState& full,
                          const char* context) {
   std::vector<double> a, b;
-  dispatched.temperatures(a);
-  scalar.temperatures(b);
+  patched.temperatures(a);
+  full.temperatures(b);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     ASSERT_NEAR(a[i], b[i], 1e-9) << context << ": chiplet " << i;
   }
-  ASSERT_NEAR(dispatched.max_temperature_c(), scalar.max_temperature_c(), 1e-9)
+  ASSERT_NEAR(patched.max_temperature_c(), full.max_temperature_c(), 1e-9)
       << context;
 }
 
 // The acceptance bar: >= 1000 random mutation sequences across all variants.
-// Two states ride the identical op stream: the forced-scalar one is checked
-// BIT-EXACT against the batch evaluator, the default-dispatch one (with the
-// journaled partial-sum query forced on, so the patching machinery runs even
-// where dispatch collapses to scalar) within 1e-9 C of the scalar state.
+// At every runnable SIMD level two states ride the identical op stream: the
+// full re-sum one is checked BIT-EXACT against a snapshot at that level, the
+// patched-sum one within 1e-9 C of it.
 TEST(IncrementalThermal, FuzzedMutationSequencesMatchBatch) {
   const auto vs = variants();
+  const auto levels = runnable_simd_levels();
   const int scale = fuzz_scale();
   Rng rng(0xfeedULL);
   int sequences = 0;
@@ -185,11 +203,19 @@ TEST(IncrementalThermal, FuzzedMutationSequencesMatchBatch) {
       Rng seq_rng(seq_seed);
       const ChipletSystem sys = random_system(seq_rng);
       const std::size_t n = sys.num_chiplets();
-      IncrementalThermalState state(model, sys);
-      state.set_simd_level(util::SimdLevel::kScalar);
-      IncrementalThermalState dispatched(model, sys);
-      dispatched.set_patched_query(true);
-      Floorplan fp(sys);             // mirrors the state's placement
+      std::vector<IncrementalThermalState> full, patched;
+      for (const util::SimdLevel level : levels) {
+        full.emplace_back(model, sys);
+        full.back().set_simd_level(level);
+        full.back().set_patched_query(false);
+        patched.emplace_back(model, sys);
+        patched.back().set_simd_level(level);
+      }
+      const auto for_each_state = [&](const auto& op) {
+        for (auto& st : full) op(st);
+        for (auto& st : patched) op(st);
+      };
+      Floorplan fp(sys);             // mirrors the states' placement
       Floorplan committed_fp(sys);   // snapshot at the last commit()
       const int ops =
           4 + static_cast<int>(seq_rng.uniform_int(std::uint64_t{8}));
@@ -198,25 +224,26 @@ TEST(IncrementalThermal, FuzzedMutationSequencesMatchBatch) {
         const std::size_t die = seq_rng.uniform_int(std::uint64_t{n});
         if (u < 0.45) {  // place or move
           const Placement p = random_placement(sys, die, seq_rng);
-          state.place(die, p);
-          dispatched.place(die, p);
+          for_each_state([&](IncrementalThermalState& st) { st.place(die, p); });
           fp.place(die, p.position, p.rotated);
         } else if (u < 0.65) {  // remove
-          state.remove(die);
-          dispatched.remove(die);
+          for_each_state([&](IncrementalThermalState& st) { st.remove(die); });
           fp.unplace(die);
         } else if (u < 0.8) {  // undo to the last commit
-          state.undo();
-          dispatched.undo();
+          for_each_state([](IncrementalThermalState& st) { st.undo(); });
           fp = committed_fp;
         } else {  // commit
-          state.commit();
-          dispatched.commit();
+          for_each_state([](IncrementalThermalState& st) { st.commit(); });
           committed_fp = fp;
         }
-        expect_state_matches_batch(state, model, sys, fp, v.name,
-                                   /*exact=*/true);
-        expect_states_agree(dispatched, state, v.name);
+        for (std::size_t l = 0; l < levels.size(); ++l) {
+          const std::string context =
+              std::string(v.name) + " level=" +
+              util::simd_level_name(levels[l]);
+          expect_state_matches_batch(full[l], fp, context.c_str(),
+                                     /*exact=*/true);
+          expect_states_agree(patched[l], full[l], context.c_str());
+        }
         if (::testing::Test::HasFatalFailure()) {
           report_failure_seed(std::string("variant=") + v.name +
                               " sequence_seed=" + std::to_string(seq_seed) +
@@ -229,33 +256,58 @@ TEST(IncrementalThermal, FuzzedMutationSequencesMatchBatch) {
   EXPECT_GE(sequences, 1000 * scale);
 }
 
-// Tight agreement on a hand-checkable case: the forced-scalar query sums the
-// identical pairwise doubles the batch evaluator sums, in the same order, so
-// the agreement is exact — not just close. The default-dispatch state (which
-// may run SIMD pair-row kernels and the patched-sum query) stays inside the
-// 1e-9 C envelope on the same placement.
+// Tight agreement on a hand-checkable case, at every runnable level: the
+// full re-sum query sums the identical pairwise doubles the snapshot sums,
+// in the same order, so the agreement is exact — not just close — and the
+// default patched-sum state stays inside the 1e-9 C envelope of the oracle.
 TEST(IncrementalThermal, ExactAgreementOnDenseSystem) {
   const FastThermalModel model = make_model(FastModelConfig{}, false, true);
   Rng rng(7);
   const ChipletSystem sys = random_system(rng, 6, 6);
-  Floorplan fp(sys);
-  IncrementalThermalState state(model, sys);
-  state.set_simd_level(util::SimdLevel::kScalar);
-  IncrementalThermalState dispatched(model, sys);
+  std::vector<Placement> placements;
   for (std::size_t i = 0; i < sys.num_chiplets(); ++i) {
-    const Placement p = random_placement(sys, i, rng);
-    state.place(i, p);
-    dispatched.place(i, p);
-    fp.place(i, p.position, p.rotated);
+    placements.push_back(random_placement(sys, i, rng));
   }
-  const auto batch = model.evaluate(sys, fp);
-  for (std::size_t i = 0; i < sys.num_chiplets(); ++i) {
-    EXPECT_EQ(state.chiplet_temperature_c(i), batch.chiplet_temp_c[i]);
-    EXPECT_NEAR(dispatched.chiplet_temperature_c(i), batch.chiplet_temp_c[i],
-                1e-9);
+  for (const util::SimdLevel level : runnable_simd_levels()) {
+    SCOPED_TRACE(util::simd_level_name(level));
+    Floorplan fp(sys);
+    IncrementalThermalState state(model, sys);
+    state.set_simd_level(level);
+    state.set_patched_query(false);
+    IncrementalThermalState patched(model, sys);
+    patched.set_simd_level(level);
+    for (std::size_t i = 0; i < sys.num_chiplets(); ++i) {
+      state.place(i, placements[i]);
+      patched.place(i, placements[i]);
+      fp.place(i, placements[i].position, placements[i].rotated);
+    }
+    const auto batch = batch_at_level(state, fp);
+    const auto oracle = reference_evaluate(model, sys, fp);
+    for (std::size_t i = 0; i < sys.num_chiplets(); ++i) {
+      EXPECT_EQ(state.chiplet_temperature_c(i), batch.chiplet_temp_c[i]);
+      EXPECT_NEAR(patched.chiplet_temperature_c(i), oracle.chiplet_temp_c[i],
+                  1e-9);
+    }
+    EXPECT_EQ(state.max_temperature_c(), batch.max_temp_c);
+    EXPECT_NEAR(patched.max_temperature_c(), oracle.max_temp_c, 1e-9);
   }
-  EXPECT_EQ(state.max_temperature_c(), batch.max_temp_c);
-  EXPECT_NEAR(dispatched.max_temperature_c(), batch.max_temp_c, 1e-9);
+}
+
+// The query mode is its own setting: choosing a kernel table leaves it
+// alone, and a new state answers from the patched sums at every level.
+TEST(IncrementalThermal, SimdLevelLeavesQueryModeAlone) {
+  const FastThermalModel model = make_model(FastModelConfig{}, false, false);
+  Rng rng(5);
+  const ChipletSystem sys = random_system(rng, 3, 3);
+  for (const util::SimdLevel level : runnable_simd_levels()) {
+    IncrementalThermalState state(model, sys);
+    EXPECT_TRUE(state.patched_query());
+    EXPECT_EQ(state.set_simd_level(level), level);
+    EXPECT_TRUE(state.patched_query());
+    state.set_patched_query(false);
+    state.set_simd_level(level);
+    EXPECT_FALSE(state.patched_query());
+  }
 }
 
 // The journaled partial sums behind the patched query: rollback restores the
@@ -269,8 +321,7 @@ TEST(IncrementalThermal, JournaledSumsCommitRollbackBitExact) {
   const ChipletSystem sys = random_system(rng, 6, 6);
   const std::size_t n = sys.num_chiplets();
   Floorplan fp(sys);
-  IncrementalThermalState state(model, sys);
-  state.set_patched_query(true);  // exercise the sum machinery on any host
+  IncrementalThermalState state(model, sys);  // patched query: the default
   for (std::size_t i = 0; i < n; ++i) {
     const Placement p = random_placement(sys, i, rng);
     state.place(i, p);
@@ -314,7 +365,7 @@ TEST(IncrementalThermal, JournaledSumsCommitRollbackBitExact) {
     state.place(die, p);
     fp.place(die, p.position, p.rotated);
     state.commit();
-    expect_state_matches_batch(state, model, sys, fp, "committed-stream");
+    expect_state_matches_batch(state, fp, "committed-stream");
   }
   EXPECT_GT(state.sum_resums(), resums_before);
 }
@@ -338,7 +389,7 @@ TEST(IncrementalThermal, RemoveAndUndoCostNoKernelWork) {
   EXPECT_EQ(state.pair_updates(), before);  // remove: bookkeeping only
   state.undo();  // snapshot restore: no kernel recomputation
   EXPECT_EQ(state.pair_updates(), before);
-  expect_state_matches_batch(state, model, sys, fp, "undo-of-remove");
+  expect_state_matches_batch(state, fp, "undo-of-remove");
 
   // A rejected SA displace: the move pays its 2*(n-1) directed pair
   // updates, the rollback pays none.
@@ -347,7 +398,7 @@ TEST(IncrementalThermal, RemoveAndUndoCostNoKernelWork) {
   before = state.pair_updates();
   state.undo();
   EXPECT_EQ(state.pair_updates(), before);
-  expect_state_matches_batch(state, model, sys, fp, "undo-of-move");
+  expect_state_matches_batch(state, fp, "undo-of-move");
 }
 
 // Evaluator-level protocol, driven the way TAP-2.5D SA drives it: sync via
@@ -355,7 +406,6 @@ TEST(IncrementalThermal, RemoveAndUndoCostNoKernelWork) {
 TEST(IncrementalThermal, EvaluatorCommitRollbackMatchesBatch) {
   const FastThermalModel model = make_model(FastModelConfig{}, false, true);
   IncrementalFastModelEvaluator eval(model);
-  FastModelEvaluator reference(model);
   Rng rng(0xabcdULL);
   const ChipletSystem sys = random_system(rng, 4, 7);
   Floorplan current(sys);
@@ -363,8 +413,11 @@ TEST(IncrementalThermal, EvaluatorCommitRollbackMatchesBatch) {
     const Placement p = random_placement(sys, i, rng);
     current.place(i, p.position, p.rotated);
   }
+  const auto reference = [&](const Floorplan& fp) {
+    return reference_evaluate(model, sys, fp).max_temp_c;
+  };
   ASSERT_NEAR(eval.incremental_max_temperature(sys, current),
-              reference.max_temperature(sys, current), 1e-9);
+              reference(current), 1e-9);
   eval.commit();
   for (int move = 0; move < 200; ++move) {
     Floorplan cand = current;
@@ -372,8 +425,7 @@ TEST(IncrementalThermal, EvaluatorCommitRollbackMatchesBatch) {
     const Placement p = random_placement(sys, die, rng);
     cand.place(die, p.position, p.rotated);
     const double t_incr = eval.incremental_max_temperature(sys, cand);
-    ASSERT_NEAR(t_incr, reference.max_temperature(sys, cand), 1e-9)
-        << "move " << move;
+    ASSERT_NEAR(t_incr, reference(cand), 1e-9) << "move " << move;
     if (rng.uniform() < 0.5) {
       eval.commit();
       current = cand;
@@ -381,7 +433,7 @@ TEST(IncrementalThermal, EvaluatorCommitRollbackMatchesBatch) {
       eval.rollback();
       // The next query must see the rolled-back state, not the candidate.
       ASSERT_NEAR(eval.incremental_max_temperature(sys, current),
-                  reference.max_temperature(sys, current), 1e-9);
+                  reference(current), 1e-9);
       eval.commit();
     }
   }
@@ -392,7 +444,6 @@ TEST(IncrementalThermal, EvaluatorCommitRollbackMatchesBatch) {
 TEST(IncrementalThermal, SessionRebindsAcrossSystems) {
   const FastThermalModel model = make_model(FastModelConfig{}, false, true);
   IncrementalFastModelEvaluator eval(model);
-  FastModelEvaluator reference(model);
   Rng rng(0x5151ULL);
   for (int k = 0; k < 5; ++k) {
     const ChipletSystem sys = random_system(rng);
@@ -402,7 +453,7 @@ TEST(IncrementalThermal, SessionRebindsAcrossSystems) {
       fp.place(i, p.position, p.rotated);
     }
     ASSERT_NEAR(eval.incremental_max_temperature(sys, fp),
-                reference.max_temperature(sys, fp), 1e-9);
+                reference_evaluate(model, sys, fp).max_temp_c, 1e-9);
   }
 }
 
@@ -429,7 +480,7 @@ TEST(IncrementalThermal, EnvEpisodeMatchesBatchEvaluator) {
     return env.last_metrics();
   };
 
-  FastModelEvaluator batch(model);
+  EvaluateOnlyEvaluator batch(model);
   IncrementalFastModelEvaluator incr(model);
   const auto m_batch = run_episode(batch);
   const auto m_incr = run_episode(incr);

@@ -1,21 +1,23 @@
-// Differential fuzzing for the SoA batch kernel: over >= 1000 random
+// Differential fuzzing for the SoA kernel tables: over >= 1000 random
 // (system, floorplan) cases spanning the synthetic generator families and
-// every FastModelConfig variant, the batched SoA evaluator must agree with
-// legacy FastThermalModel::evaluate() and IncrementalThermalState.
+// every FastModelConfig variant, the snapshot evaluator (which also serves
+// FastThermalModel::evaluate()) must agree with the direct-formula reference
+// oracle (tests/support/thermal_oracle.h) and with IncrementalThermalState.
 //
-// Numerical contract under test (documented in soa_snapshot.h and
-// incremental.h):
-//  * legacy evaluate() vs forced-scalar IncrementalThermalState — BIT-EXACT.
-//    The incremental cache stores the very doubles evaluate() sums, in the
-//    same order.
-//  * dispatched IncrementalThermalState (pair-row kernels + patched sums) vs
-//    legacy — within kTempTolC, like the batch SoA kernels.
-//  * SoA kernel vs legacy — within kTempTolC (1e-9 C, the repo-wide
-//    equivalence bar). The SoA pass keeps evaluate()'s accumulation order
-//    (so error does not grow with die count) but interpolates uniform mutual
-//    tables in fraction form (base + frac * diff) instead of the division
-//    form, a <= ~2 ulp per-term difference; observed differences are
-//    ~1e-13 C.
+// Numerical contract under test (documented in soa_kernels.h,
+// soa_snapshot.h and incremental.h):
+//  * in every kernel table, a pair row equals the matching sweep subtotal —
+//    BIT-EXACT (one block routine serves both forms).
+//  * forced-scalar incremental (full re-sum) vs forced-scalar snapshot —
+//    BIT-EXACT.
+//  * evaluate() vs evaluate_batch() and a snapshot at the dispatched level —
+//    BIT-EXACT (evaluate() is a batch of one).
+//  * every table (scalar, dispatched) vs the oracle, dispatched vs scalar,
+//    and the patched-sum incremental query vs the oracle — within kTempTolC
+//    (1e-9 C, the repo-wide equivalence bar). Tables interpolate in
+//    fraction form (base + frac * diff) where the oracle divides, and the
+//    SIMD tables contract with FMA: a <= ~2 ulp per-term difference;
+//    observed differences are ~1e-13 C.
 //  * SoA serial vs SoA fanned over a ThreadPool — BIT-EXACT (chunking never
 //    changes per-candidate arithmetic).
 //
@@ -35,15 +37,20 @@
 #include "core/floorplan.h"
 #include "fuzz_util.h"
 #include "parallel/thread_pool.h"
+#include "support/thermal_oracle.h"
 #include "systems/synthetic.h"
 #include "thermal/evaluator.h"
 #include "thermal/incremental.h"
+#include "thermal/soa_kernels.h"
 #include "util/rng.h"
 
 namespace rlplan::thermal {
 namespace {
 
+using rlplan::testing::EvaluateOnlyEvaluator;
 using rlplan::testing::fuzz_scale;
+using rlplan::testing::reference_evaluate;
+using rlplan::testing::runnable_simd_levels;
 
 constexpr double kInterposer = 60.0;
 constexpr double kTempTolC = 1e-9;
@@ -161,65 +168,72 @@ Floorplan random_floorplan(const ChipletSystem& sys, Rng& rng) {
   return fp;
 }
 
-/// One differential case: legacy vs forced-scalar incremental (bit-exact)
-/// vs dispatched incremental (kTempTolC) vs SoA snapshot (kTempTolC).
-/// Returns false on any mismatch.
+/// One differential case: forced-scalar incremental (full re-sum) vs
+/// forced-scalar snapshot (bit-exact); evaluate() vs the dispatched snapshot
+/// (bit-exact); dispatched snapshot and patched-sum incremental vs the
+/// oracle (kTempTolC). Returns false on any mismatch.
 bool check_case(const FastThermalModel& model, const ChipletSystem& sys,
                 const Floorplan& fp, SoaSnapshot& snapshot,
-                IncrementalThermalState& incr,
-                IncrementalThermalState& incr_simd,
+                SoaSnapshot& scalar_snapshot, IncrementalThermalState& incr,
+                IncrementalThermalState& incr_patched,
                 const std::string& context) {
-  const FastThermalResult legacy = model.evaluate(sys, fp);
+  const FastThermalResult oracle = reference_evaluate(model, sys, fp);
+  const FastThermalResult evaluated = model.evaluate(sys, fp);
 
   incr.sync(fp);
   std::vector<double> incr_temps;
   incr.temperatures(incr_temps);
 
-  incr_simd.sync(fp);
-  std::vector<double> simd_temps;
-  incr_simd.temperatures(simd_temps);
+  incr_patched.sync(fp);
+  std::vector<double> patched_temps;
+  incr_patched.temperatures(patched_temps);
 
   snapshot.refresh(fp);
   FastThermalResult soa;
   snapshot.evaluate(soa);
+  scalar_snapshot.refresh(fp);
+  FastThermalResult soa_scalar;
+  scalar_snapshot.evaluate(soa_scalar);
 
   bool ok = true;
-  EXPECT_EQ(legacy.chiplet_temp_c.size(), soa.chiplet_temp_c.size());
-  for (std::size_t i = 0; i < legacy.chiplet_temp_c.size(); ++i) {
-    // Forced-scalar incremental caches the very doubles evaluate() sums:
-    // exact.
-    EXPECT_EQ(incr_temps[i], legacy.chiplet_temp_c[i])
+  const auto near = [](double a, double b) {
+    return std::abs(a - b) <= kTempTolC;
+  };
+  EXPECT_EQ(oracle.chiplet_temp_c.size(), soa.chiplet_temp_c.size());
+  for (std::size_t i = 0; i < oracle.chiplet_temp_c.size(); ++i) {
+    // Full re-sum of the scalar table's pair rows: the very doubles the
+    // scalar snapshot sums, in the same order.
+    EXPECT_EQ(incr_temps[i], soa_scalar.chiplet_temp_c[i])
         << context << ": incremental chiplet " << i;
-    ok = ok && incr_temps[i] == legacy.chiplet_temp_c[i];
-    // Dispatched incremental: pair-row kernels + patched partial sums,
-    // documented tolerance (scalar-vs-scalar identity on hosts without
-    // SIMD kernels).
-    EXPECT_NEAR(simd_temps[i], legacy.chiplet_temp_c[i], kTempTolC)
-        << context << ": dispatched incremental chiplet " << i;
-    ok = ok &&
-         std::abs(simd_temps[i] - legacy.chiplet_temp_c[i]) <= kTempTolC;
-    // SoA: fraction-form interpolation, documented tolerance.
-    EXPECT_NEAR(soa.chiplet_temp_c[i], legacy.chiplet_temp_c[i], kTempTolC)
+    // evaluate() is a batch of one through a dispatched snapshot.
+    EXPECT_EQ(evaluated.chiplet_temp_c[i], soa.chiplet_temp_c[i])
+        << context << ": evaluate() chiplet " << i;
+    EXPECT_NEAR(patched_temps[i], oracle.chiplet_temp_c[i], kTempTolC)
+        << context << ": patched incremental chiplet " << i;
+    EXPECT_NEAR(soa.chiplet_temp_c[i], oracle.chiplet_temp_c[i], kTempTolC)
         << context << ": SoA chiplet " << i;
-    ok = ok &&
-         std::abs(soa.chiplet_temp_c[i] - legacy.chiplet_temp_c[i]) <=
-             kTempTolC;
+    ok = ok && incr_temps[i] == soa_scalar.chiplet_temp_c[i] &&
+         evaluated.chiplet_temp_c[i] == soa.chiplet_temp_c[i] &&
+         near(patched_temps[i], oracle.chiplet_temp_c[i]) &&
+         near(soa.chiplet_temp_c[i], oracle.chiplet_temp_c[i]);
   }
-  EXPECT_EQ(incr.max_temperature_c(), legacy.max_temp_c) << context;
-  EXPECT_NEAR(incr_simd.max_temperature_c(), legacy.max_temp_c, kTempTolC)
+  EXPECT_EQ(incr.max_temperature_c(), soa_scalar.max_temp_c) << context;
+  EXPECT_EQ(evaluated.max_temp_c, soa.max_temp_c) << context;
+  EXPECT_NEAR(incr_patched.max_temperature_c(), oracle.max_temp_c, kTempTolC)
       << context;
-  EXPECT_NEAR(soa.max_temp_c, legacy.max_temp_c, kTempTolC) << context;
-  ok = ok && incr.max_temperature_c() == legacy.max_temp_c &&
-       std::abs(incr_simd.max_temperature_c() - legacy.max_temp_c) <=
-           kTempTolC &&
-       std::abs(soa.max_temp_c - legacy.max_temp_c) <= kTempTolC;
+  EXPECT_NEAR(soa.max_temp_c, oracle.max_temp_c, kTempTolC) << context;
+  ok = ok && incr.max_temperature_c() == soa_scalar.max_temp_c &&
+       evaluated.max_temp_c == soa.max_temp_c &&
+       near(incr_patched.max_temperature_c(), oracle.max_temp_c) &&
+       near(soa.max_temp_c, oracle.max_temp_c);
   if (!ok) report_failure_seed(context);
   return ok;
 }
 
 // The acceptance bar: >= 1000 random (system, floorplan) cases across all
-// config variants, each checked against both reference paths.
-TEST(SoaKernel, FuzzedSystemsMatchLegacyAndIncremental) {
+// config variants, each checked against the oracle and the incremental
+// engine.
+TEST(SoaKernel, FuzzedSystemsMatchOracleAndIncremental) {
   const auto vs = variants();
   const int scale = fuzz_scale();
   const int systems_per_variant = 90 * scale;
@@ -232,19 +246,23 @@ TEST(SoaKernel, FuzzedSystemsMatchLegacyAndIncremental) {
       Rng sys_rng(sys_seed);
       const ChipletSystem sys = random_system(sys_rng);
       SoaSnapshot snapshot(model, sys);
-      // The bit-exact axis runs the exact scalar tier; a second state keeps
-      // the default dispatch (pair-row kernels + patched-sum query on hosts
-      // with SIMD) for the 1e-9 axis.
+      SoaSnapshot scalar_snapshot(model, sys);
+      scalar_snapshot.set_simd_level(util::SimdLevel::kScalar);
+      // The bit-exact axis runs the scalar table with the full re-sum query;
+      // a second state keeps the defaults (dispatched table, patched-sum
+      // query) for the 1e-9 axis.
       IncrementalThermalState incr(model, sys);
       incr.set_simd_level(util::SimdLevel::kScalar);
-      IncrementalThermalState incr_simd(model, sys);
+      incr.set_patched_query(false);
+      IncrementalThermalState incr_patched(model, sys);
       for (int f = 0; f < 3; ++f, ++cases) {
         const Floorplan fp = random_floorplan(sys, sys_rng);
         const std::string context = std::string("variant=") + v.name +
                                     " system_seed=" +
                                     std::to_string(sys_seed) +
                                     " floorplan_index=" + std::to_string(f);
-        if (!check_case(model, sys, fp, snapshot, incr, incr_simd, context)) {
+        if (!check_case(model, sys, fp, snapshot, scalar_snapshot, incr,
+                        incr_patched, context)) {
           return;  // the seed is reported; stop before flooding the log
         }
       }
@@ -253,14 +271,14 @@ TEST(SoaKernel, FuzzedSystemsMatchLegacyAndIncremental) {
   EXPECT_GE(cases, 1000 * scale);
 }
 
-// Second differential axis: the dispatched SIMD kernels (AVX2/NEON when the
-// host has them) against the forced-scalar reference path, over the same
-// fuzz families and every config variant. On a scalar-only host this
-// degenerates to scalar-vs-scalar and pins set_simd_level(kScalar) as the
-// identity; CI's x86 runners exercise the real AVX2 comparison (including
-// one leg under ASan/UBSan — see ci.yml's sanitizer matrix).
+// Second differential axis: the dispatched SIMD table (AVX2/NEON when the
+// host has them) against the scalar table and both against the oracle, over
+// the same fuzz families and every config variant. On a scalar-only host
+// the first comparison degenerates to scalar-vs-scalar; CI's x86 runners
+// exercise the real AVX2 comparison (including one leg under ASan/UBSan —
+// see ci.yml's sanitizer matrix) and the aarch64 leg the NEON one.
 TEST(SoaKernel, SimdMatchesForcedScalarAcrossFuzzedSystems) {
-  const util::SimdLevel dispatched = SoaSnapshot::dispatch_level();
+  const util::SimdLevel dispatched = soa_dispatch_level();
   SCOPED_TRACE(std::string("dispatched level: ") +
                util::simd_level_name(dispatched));
   const auto vs = variants();
@@ -285,17 +303,25 @@ TEST(SoaKernel, SimdMatchesForcedScalarAcrossFuzzedSystems) {
         FastThermalResult rs, rv;
         scalar.evaluate(rs);
         simd.evaluate(rv);
+        const FastThermalResult oracle = reference_evaluate(model, sys, fp);
         const std::string context =
             std::string("simd-vs-scalar variant=") + v.name + " level=" +
             util::simd_level_name(dispatched) + " system_seed=" +
             std::to_string(sys_seed) + " floorplan_index=" + std::to_string(f);
-        bool ok = std::abs(rv.max_temp_c - rs.max_temp_c) <= kTempTolC;
-        EXPECT_NEAR(rv.max_temp_c, rs.max_temp_c, kTempTolC) << context;
+        bool ok = true;
+        const auto expect_near = [&](double a, double b, const char* what,
+                                     std::size_t i) {
+          EXPECT_NEAR(a, b, kTempTolC) << context << ": " << what << " " << i;
+          ok = ok && std::abs(a - b) <= kTempTolC;
+        };
+        expect_near(rv.max_temp_c, rs.max_temp_c, "simd vs scalar peak", 0);
+        expect_near(rs.max_temp_c, oracle.max_temp_c, "scalar vs oracle peak",
+                    0);
         for (std::size_t i = 0; i < rs.chiplet_temp_c.size(); ++i) {
-          EXPECT_NEAR(rv.chiplet_temp_c[i], rs.chiplet_temp_c[i], kTempTolC)
-              << context << ": chiplet " << i;
-          ok = ok && std::abs(rv.chiplet_temp_c[i] - rs.chiplet_temp_c[i]) <=
-                         kTempTolC;
+          expect_near(rv.chiplet_temp_c[i], rs.chiplet_temp_c[i],
+                      "simd vs scalar chiplet", i);
+          expect_near(rs.chiplet_temp_c[i], oracle.chiplet_temp_c[i],
+                      "scalar vs oracle chiplet", i);
         }
         if (!ok) {
           report_failure_seed(context);
@@ -306,8 +332,9 @@ TEST(SoaKernel, SimdMatchesForcedScalarAcrossFuzzedSystems) {
   }
 }
 
-// Requesting an unavailable level must collapse to kScalar — never silently
-// substitute a different SIMD flavour (a NEON request on x86 and vice versa).
+// Requesting an unavailable level must serve the scalar table — never
+// nullptr, and never a different SIMD flavour (a NEON request on x86 and
+// vice versa).
 TEST(SoaKernel, UnavailableSimdLevelFallsBackToScalar) {
   const FastThermalModel model = make_model(FastModelConfig{}, false, false);
   const ChipletSystem sys("s", kInterposer, kInterposer,
@@ -318,22 +345,25 @@ TEST(SoaKernel, UnavailableSimdLevelFallsBackToScalar) {
 #else
   const auto foreign = util::SimdLevel::kNeon;
 #endif
+  ASSERT_NE(soa_kernel_ops(util::SimdLevel::kScalar), nullptr);
+  EXPECT_EQ(soa_kernel_ops(foreign), soa_kernel_ops(util::SimdLevel::kScalar));
+  EXPECT_EQ(soa_served_level(foreign), util::SimdLevel::kScalar);
   EXPECT_EQ(snap.set_simd_level(foreign), util::SimdLevel::kScalar);
   EXPECT_EQ(snap.simd_level(), util::SimdLevel::kScalar);
-  // And the snapshot still evaluates correctly on the fallback.
+  // And the snapshot evaluates correctly on the scalar table.
   Floorplan fp(sys);
   fp.place(0, {5.0, 5.0});
   fp.place(1, {20.0, 8.0});
   snap.refresh(fp);
   FastThermalResult r;
   snap.evaluate(r);
-  const auto legacy = model.evaluate(sys, fp);
-  EXPECT_NEAR(r.max_temp_c, legacy.max_temp_c, kTempTolC);
+  EXPECT_NEAR(r.max_temp_c, reference_evaluate(model, sys, fp).max_temp_c,
+              kTempTolC);
 }
 
 // evaluate_batch must reproduce per-candidate snapshot results exactly, for
-// any thread count (chunking never changes per-candidate arithmetic), and
-// its convenience wrappers must agree with per-call evaluate().
+// any thread count (chunking never changes per-candidate arithmetic), equal
+// per-call evaluate() exactly, and stay within kTempTolC of the oracle.
 TEST(SoaKernel, BatchMatchesSerialForAnyThreadCount) {
   const FastThermalModel model = make_model(FastModelConfig{}, false, true);
   Rng rng(0xbead5ULL);
@@ -363,13 +393,16 @@ TEST(SoaKernel, BatchMatchesSerialForAnyThreadCount) {
     }
   }
   for (std::size_t i = 0; i < fps.size(); ++i) {
-    const auto legacy = model.evaluate(sys, fps[i]);
-    EXPECT_NEAR(serial[i].max_temp_c, legacy.max_temp_c, kTempTolC);
+    const auto single = model.evaluate(sys, fps[i]);
+    EXPECT_EQ(serial[i].max_temp_c, single.max_temp_c) << "candidate " << i;
+    EXPECT_EQ(serial[i].chiplet_temp_c, single.chiplet_temp_c);
+    EXPECT_NEAR(serial[i].max_temp_c,
+                reference_evaluate(model, sys, fps[i]).max_temp_c, kTempTolC);
   }
 }
 
 // Evaluator-level batch protocol: the default (grid-solver style) fallback
-// and the fast-model overrides must agree with per-call max_temperature.
+// and the fast-model override must equal per-call evaluate().
 TEST(SoaKernel, EvaluatorBatchMatchesPerCallQueries) {
   const FastThermalModel model = make_model(FastModelConfig{}, false, true);
   Rng rng(0xfeedbeefULL);
@@ -383,7 +416,7 @@ TEST(SoaKernel, EvaluatorBatchMatchesPerCallQueries) {
   std::vector<Floorplan> fps;
   for (int i = 0; i < 7; ++i) fps.push_back(random_floorplan(sys, rng));
 
-  FastModelEvaluator fast(model);
+  EvaluateOnlyEvaluator fast(model);
   IncrementalFastModelEvaluator incremental(model);
   for (auto* eval :
        std::vector<ThermalEvaluator*>{&fast, &incremental}) {
@@ -393,8 +426,7 @@ TEST(SoaKernel, EvaluatorBatchMatchesPerCallQueries) {
     EXPECT_EQ(eval->num_evaluations(),
               before + static_cast<long>(fps.size()));
     for (std::size_t i = 0; i < fps.size(); ++i) {
-      EXPECT_NEAR(batch[i], model.evaluate(sys, fps[i]).max_temp_c,
-                  kTempTolC)
+      EXPECT_EQ(batch[i], model.evaluate(sys, fps[i]).max_temp_c)
           << eval->name() << " candidate " << i;
     }
   }
@@ -415,14 +447,14 @@ TEST(SoaKernel, ZeroPowerAndUnplacedDies) {
   fp.place(2, {35.0, 30.0});
   // chiplet 3 stays unplaced.
 
-  const auto legacy = model.evaluate(sys, fp);
+  const auto oracle = reference_evaluate(model, sys, fp);
   SoaSnapshot snapshot(model, sys);
   snapshot.refresh(fp);
   FastThermalResult soa;
   snapshot.evaluate(soa);
   EXPECT_EQ(snapshot.num_sources(), 2u);  // zero-power die is not a source
   for (std::size_t i = 0; i < sys.num_chiplets(); ++i) {
-    EXPECT_NEAR(soa.chiplet_temp_c[i], legacy.chiplet_temp_c[i], kTempTolC);
+    EXPECT_NEAR(soa.chiplet_temp_c[i], oracle.chiplet_temp_c[i], kTempTolC);
   }
   EXPECT_EQ(soa.chiplet_temp_c[3], model.ambient_c());  // unplaced: ambient
   EXPECT_GT(soa.chiplet_temp_c[1], model.ambient_c());  // heated by others
@@ -489,12 +521,12 @@ TEST(SoaKernel, MinimumSizeMutualTableEvaluates) {
     snapshot.refresh(fp);
     FastThermalResult soa;
     snapshot.evaluate(soa);
-    const auto legacy = model.evaluate(sys, fp);
+    const auto oracle = reference_evaluate(model, sys, fp);
     for (std::size_t i = 0; i < sys.num_chiplets(); ++i) {
-      EXPECT_NEAR(soa.chiplet_temp_c[i], legacy.chiplet_temp_c[i], kTempTolC)
+      EXPECT_NEAR(soa.chiplet_temp_c[i], oracle.chiplet_temp_c[i], kTempTolC)
           << "images=" << images << " chiplet " << i;
     }
-    EXPECT_NEAR(soa.max_temp_c, legacy.max_temp_c, kTempTolC)
+    EXPECT_NEAR(soa.max_temp_c, oracle.max_temp_c, kTempTolC)
         << "images=" << images;
   }
 }
@@ -532,22 +564,150 @@ TEST(SoaKernel, BatchLaneRangePartitionsExactly) {
   }
 }
 
-// The View's binary-search branch (non-uniform knots) must reproduce
-// MutualResistanceTable::lookup bit-for-bit — it is the fallback the SoA
-// kernel leans on when a table escapes the constructor's uniform resample.
-TEST(SoaKernel, NonUniformViewLookupMatchesTable) {
-  const MutualResistanceTable table({0.0, 1.0, 2.5, 7.0, 19.0, 40.0},
-                                    {0.9, 0.7, 0.5, 0.3, 0.2, 0.15});
-  ASSERT_FALSE(table.is_uniform());
-  const auto view = table.view();
-  Rng rng(4);
-  for (int i = 0; i < 2000; ++i) {
-    const double d = rng.uniform(-5.0, 50.0);
-    EXPECT_EQ(view.lookup(d), table.lookup(d)) << "d=" << d;
+// The SoA consumers accept only uniform-step mutual tables; the model
+// constructor guarantees that by resampling whatever it is given. Odd knot
+// spacings (gaps that are not multiples of each other, or irrational ones)
+// must still come out uniform, bind, and evaluate within kTempTolC of the
+// oracle, which interpolates the resampled table in division form.
+TEST(SoaKernel, ModelResamplesOddSpacedTablesToUniform) {
+  const std::vector<double> dims{2.0, 10.0, 22.0};
+  const std::vector<std::vector<double>> self_vals(
+      dims.size(), std::vector<double>(dims.size(), 0.5));
+  const ChipletSystem sys("odd", kInterposer, kInterposer,
+                          {{"a", 8.0, 8.0, 20.0}, {"b", 6.0, 4.0, 10.0}}, {});
+  Floorplan fp(sys);
+  fp.place(0, {4.0, 4.0});
+  fp.place(1, {30.0, 12.0});
+  Rng rng(0x0dd5ULL);
+  for (int t = 0; t < 42; ++t) {
+    std::vector<double> knots{0.0};
+    while (knots.back() < 90.0) {
+      knots.push_back(knots.back() + rng.uniform(0.37, 9.1) *
+                                         (t % 2 == 0 ? 1.0 : std::sqrt(2.0)));
+    }
+    std::vector<double> vals;
+    for (double d : knots) vals.push_back(0.04 + 0.8 * std::exp(-d / 8.0));
+    const MutualResistanceTable table(knots, vals);
+    ASSERT_FALSE(table.is_uniform()) << "table " << t;
+    FastThermalModel model(SelfResistanceTable(dims, dims, self_vals), table,
+                           45.0, FastModelConfig{});
+    model.set_image_params(kInterposer, kInterposer, 0.04);
+    ASSERT_TRUE(model.mutual_table().is_uniform()) << "table " << t;
+    SoaSnapshot snapshot(model, sys);
+    snapshot.refresh(fp);
+    FastThermalResult soa;
+    snapshot.evaluate(soa);
+    EXPECT_NEAR(soa.max_temp_c, reference_evaluate(model, sys, fp).max_temp_c,
+                kTempTolC)
+        << "table " << t;
   }
-  EXPECT_EQ(view.lookup(0.0), table.lookup(0.0));
-  EXPECT_EQ(view.lookup(40.0), table.lookup(40.0));
-  EXPECT_EQ(view.lookup(1.0), table.lookup(1.0));  // exact knot
+  // At the resample's 4096-point cap: one gap far below span / 4096 forces
+  // the cap, and a front well above 0 makes each knot's rounding large
+  // relative to the step.
+  for (const double front : {0.0, 0.35, 37.0, 250.0, 1000.0, 1e5}) {
+    for (const double tiny : {1e-3, 1e-6}) {
+      std::vector<double> knots{front, front + tiny};
+      while (knots.back() < front + 90.0) {
+        knots.push_back(knots.back() + rng.uniform(0.37, 9.1));
+      }
+      std::vector<double> vals;
+      for (double d : knots) {
+        vals.push_back(0.04 + 0.8 * std::exp(-(d - front) / 8.0));
+      }
+      const MutualResistanceTable table(knots, vals);
+      EXPECT_EQ(table.resampled_uniform().distances().size(), 4096u)
+          << "front " << front;
+      FastThermalModel model(SelfResistanceTable(dims, dims, self_vals), table,
+                             45.0, FastModelConfig{});
+      model.set_image_params(kInterposer, kInterposer, 0.04);
+      ASSERT_TRUE(model.mutual_table().is_uniform())
+          << "front " << front << " gap " << tiny;
+      SoaSnapshot snapshot(model, sys);
+      snapshot.refresh(fp);
+      FastThermalResult soa;
+      snapshot.evaluate(soa);
+      EXPECT_NEAR(soa.max_temp_c,
+                  reference_evaluate(model, sys, fp).max_temp_c, kTempTolC)
+          << "front " << front << " gap " << tiny;
+    }
+  }
+  // More knots than the cap: the resample still stops at 4096 points.
+  std::vector<double> knots, vals;
+  double d = 0.0;
+  while (knots.size() < 5000) {
+    knots.push_back(d);
+    vals.push_back(0.04 + 0.8 * std::exp(-d / 8.0));
+    d += knots.size() % 2 == 0 ? 0.01 : 0.013;
+  }
+  const MutualResistanceTable dense(knots, vals);
+  ASSERT_FALSE(dense.is_uniform());
+  const MutualResistanceTable resampled = dense.resampled_uniform();
+  EXPECT_EQ(resampled.distances().size(), 4096u);
+  EXPECT_TRUE(resampled.is_uniform());
+}
+
+// The shared-block invariant behind "full re-sum incremental == batch": in
+// every table this host can run, a pair row (one block against many probes)
+// equals the sweep subtotal (one probe against many blocks) for the same
+// (probe, block), bit for bit — both forms, block sizes with and without a
+// sub-lane tail, probes inside, between and beyond the table's range.
+TEST(SoaKernel, PairRowEqualsSweepSubtotalInEveryTable) {
+  const FastThermalModel model = make_model(FastModelConfig{}, false, false);
+  SoaModelConsts k;
+  k.bind(model);
+  Rng rng(0x9a1e5ULL);
+  for (const util::SimdLevel level : runnable_simd_levels()) {
+    SCOPED_TRACE(std::string("level ") + util::simd_level_name(level));
+    const SoaKernelOps& ops = *soa_kernel_ops(level);
+    for (const std::size_t pts : {1u, 3u, 4u, 9u, 13u, 36u}) {
+      const std::size_t n_src = 5;
+      const std::size_t n_probes = 7;
+      std::vector<double> sx(n_src * pts), sy(n_src * pts), w(pts);
+      for (double& x : sx) x = rng.uniform(-kInterposer, 2.0 * kInterposer);
+      for (double& y : sy) y = rng.uniform(-kInterposer, 2.0 * kInterposer);
+      for (double& x : w) x = rng.uniform(0.1, 1.0);
+      std::vector<double> px(n_probes), py(n_probes);
+      for (double& x : px) x = rng.uniform(0.0, kInterposer);
+      for (double& y : py) y = rng.uniform(0.0, kInterposer);
+      const double front = k.mutual.front;
+      const double back = k.mutual.back;
+      const double inv = k.mutual.inv_step;
+      const double cap = k.coord_cap;
+      for (const bool weighted : {true, false}) {
+        const double* lut = weighted ? k.lut_img.data() : k.lut_raw.data();
+        std::vector<double> sweep(n_probes * n_src), rows(n_src * n_probes);
+        for (std::size_t p = 0; p < n_probes; ++p) {
+          double* sub = sweep.data() + p * n_src;
+          if (weighted) {
+            ops.sweep_weighted(sx.data(), sy.data(), px[p], py[p], front,
+                               back, inv, cap, lut, w.data(), pts, n_src, sub);
+          } else {
+            ops.sweep_raw(sx.data(), sy.data(), px[p], py[p], front, back,
+                          inv, cap, lut, pts, n_src, sub);
+          }
+        }
+        for (std::size_t a = 0; a < n_src; ++a) {
+          double* row = rows.data() + a * n_probes;
+          if (weighted) {
+            ops.pair_weighted(px.data(), py.data(), n_probes,
+                              sx.data() + a * pts, sy.data() + a * pts, pts,
+                              front, back, inv, cap, lut, w.data(), row);
+          } else {
+            ops.pair_raw(px.data(), py.data(), n_probes, sx.data() + a * pts,
+                         sy.data() + a * pts, pts, front, back, inv, cap, lut,
+                         row);
+          }
+        }
+        for (std::size_t p = 0; p < n_probes; ++p) {
+          for (std::size_t a = 0; a < n_src; ++a) {
+            EXPECT_EQ(rows[a * n_probes + p], sweep[p * n_src + a])
+                << "pts=" << pts << " weighted=" << weighted << " probe " << p
+                << " block " << a;
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include "rl/planner.h"
 #include "thermal/evaluator.h"
 #include "thermal/incremental.h"
+#include "support/thermal_oracle.h"
 
 namespace rlplan::sa {
 namespace {
@@ -173,7 +174,7 @@ TEST(Tap25d, IncrementalEvaluatorMatchesBatchTrajectory) {
   model.set_image_params(30.0, 30.0, 0.03);
 
   const auto sys = sa_system();
-  thermal::FastModelEvaluator batch(model);
+  testing::EvaluateOnlyEvaluator batch(model);
   thermal::IncrementalFastModelEvaluator incr(model);
   Tap25dPlanner planner(quick_config(3));
   const auto r_batch = planner.plan(sys, batch);
@@ -233,7 +234,7 @@ TEST(Tap25dPopulation, DeterministicGivenSeedAndThreadCountIndependent) {
   const auto sys = sa_system();
   const auto model = population_model();
   const auto run = [&](std::size_t threads) {
-    thermal::FastModelEvaluator eval(model);
+    thermal::IncrementalFastModelEvaluator eval(model);
     Tap25dConfig config = quick_config(12);
     config.population = 5;
     config.batch_threads = threads;
@@ -258,12 +259,12 @@ TEST(Tap25dPopulation, NoWorseThanInitialPlacement) {
   rl::EnvConfig ff;
   ff.grid = 64;
   const Floorplan initial = rl::first_fit_floorplan(sys, ff);
-  thermal::FastModelEvaluator eval_init(model);
+  thermal::IncrementalFastModelEvaluator eval_init(model);
   const double initial_reward =
       rc.reward(ba.assign(sys, initial).total_mm,
                 eval_init.max_temperature(sys, initial));
 
-  thermal::FastModelEvaluator eval(model);
+  thermal::IncrementalFastModelEvaluator eval(model);
   Tap25dConfig config = quick_config(13);
   config.population = 4;
   Tap25dPlanner planner(config);

@@ -17,6 +17,7 @@
 #include "thermal/characterize.h"
 #include "thermal/evaluator.h"
 #include "thermal/incremental.h"
+#include "support/thermal_oracle.h"
 
 namespace rlplan::parallel {
 namespace {
@@ -182,7 +183,7 @@ TEST(VecEnv, IncrementalEvaluatorClonesMatchBatchEvaluator) {
     return reward;
   };
 
-  thermal::FastModelEvaluator batch_proto(model);
+  testing::EvaluateOnlyEvaluator batch_proto(model);
   thermal::IncrementalFastModelEvaluator incr_proto(model);
   const double batch_reward = episode_reward(batch_proto);
   const double incr_reward = episode_reward(incr_proto);
@@ -211,7 +212,7 @@ TEST(VecEnv, BatchedScoringMatchesPerEnvEvaluation) {
       thermal::MutualResistanceTable(distances, mutual_vals), 45.0, {});
   model.set_image_params(32.0, 32.0, 0.03);
 
-  thermal::FastModelEvaluator proto(model);
+  thermal::IncrementalFastModelEvaluator proto(model);
   VecEnv venv(sys, proto, RewardCalculator{}, bump::BumpAssigner{},
               {.grid = 16}, 3, 99);
 

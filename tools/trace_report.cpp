@@ -9,9 +9,11 @@
 // Works on any trace_event JSON containing "X" (complete) events with
 // ts/dur/tid fields, so traces from other tools load too.
 //
-// Exits 2 on a missing/unparseable trace and 1 on a trace with no events
-// (a traced run that recorded nothing is almost always a bug — tracing was
-// never enabled).
+// Exits 2 on an argument other than --trace=/--top= (a bare path included:
+// it would otherwise be ignored in favour of the default trace.json) and on
+// a missing/unparseable trace, and 1 on a trace with no events (a traced
+// run that recorded nothing is almost always a bug — tracing was never
+// enabled).
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -63,6 +65,16 @@ void compute_nesting(std::vector<Event>& events) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg.rfind("--trace=", 0) != 0 && arg.rfind("--top=", 0) != 0) {
+      std::fprintf(stderr,
+                   "[trace_report] unexpected argument '%s'\n"
+                   "usage: trace_report --trace=PATH [--top=N]\n",
+                   arg.c_str());
+      return 2;
+    }
+  }
   const std::string path =
       rlplan::bench::flag_str(argc, argv, "trace", "trace.json");
   const auto top =
