@@ -4,8 +4,9 @@
 // Measures the full experience-collection pipeline — batched policy
 // forwards, masked sampling, environment stepping, and the episode-end
 // reward evaluation (microbump assignment + fast thermal model) — exactly as
-// PpoTrainer consumes it. The 1-env row with 1 thread is the legacy
-// single-environment baseline; the speedup column is relative to it.
+// TrainingSession consumes it: parallel::collect_episodes over a VecEnv's
+// replicas, with the pool installed as the nn batch executor. The 1-env row
+// is the one-replica baseline; the speedup column is relative to it.
 //
 // Flags:
 //   --grid=N         action-grid resolution (default 32, the paper's G)
@@ -74,7 +75,7 @@ int main(int argc, char** argv) {
       system.interposer_width(), system.interposer_height());
   std::fprintf(stderr, "[micro_rollout] characterization: %.1f s\n",
                charac.report().total_seconds);
-  const thermal::IncrementalFastModelEvaluator prototype(model);
+  thermal::IncrementalFastModelEvaluator evaluator(model);
 
   rl::PolicyNetConfig net_config;
   net_config.channels_in = rl::FloorplanEnv::kChannels;
@@ -92,20 +93,21 @@ int main(int argc, char** argv) {
         threads_flag > 0 ? static_cast<std::size_t>(threads_flag) : num_envs;
 
     parallel::ThreadPool pool(threads);
-    parallel::VecEnv venv(system, prototype, RewardCalculator{},
+    const parallel::ScopedBatchExecutor executor(pool);
+    parallel::VecEnv venv(system, evaluator, RewardCalculator{},
                           bump::BumpAssigner{}, env_config, num_envs,
                           /*seed=*/17);
-    parallel::ParallelRolloutCollector collector(venv, pool);
+    const auto slots = venv.slots();
     Rng net_rng(3);
     rl::PolicyValueNet net(net_config, net_rng);
 
     rl::RolloutBuffer warmup;
-    collector.collect(net, num_envs, warmup);
+    parallel::collect_episodes(slots, net, num_envs, warmup, &pool);
 
     rl::RolloutBuffer buffer;
     const Timer timer;
     const parallel::CollectorStats stats =
-        collector.collect(net, episodes, buffer);
+        parallel::collect_episodes(slots, net, episodes, buffer, &pool);
     const double seconds = timer.seconds();
 
     Row row;

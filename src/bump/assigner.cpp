@@ -10,16 +10,8 @@ BumpAssigner::BumpAssigner(BumpGridConfig config) : config_(config) {}
 
 WirelengthReport BumpAssigner::assign(const ChipletSystem& system,
                                       const Floorplan& floorplan) const {
-  std::vector<WireRoute> routes;
-  return assign_with_routes(system, floorplan, routes);
-}
-
-WirelengthReport BumpAssigner::assign_with_routes(
-    const ChipletSystem& system, const Floorplan& floorplan,
-    std::vector<WireRoute>& routes) const {
   WirelengthReport report;
   report.per_net_mm.assign(system.nets().size(), 0.0);
-  routes.clear();
 
   // Per-chiplet site lists; capacities are consumed across nets so heavily
   // connected dies genuinely compete for peripheral bumps.
@@ -85,8 +77,6 @@ WirelengthReport BumpAssigner::assign_with_routes(
       report.per_net_mm[net_idx] += len;
       report.total_mm += len;
       ++report.wires_assigned;
-      routes.push_back(
-          {net_idx, sa[site_a].position, sb[site_b].position, len});
     }
   }
   return report;

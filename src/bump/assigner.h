@@ -7,7 +7,6 @@
 // (Floorplan::center_wirelength) is only an optimization-loop proxy.
 #pragma once
 
-#include <cstddef>
 #include <vector>
 
 #include "bump/bump_grid.h"
@@ -15,14 +14,6 @@
 #include "core/floorplan.h"
 
 namespace rlplan::bump {
-
-/// One wire's endpoints after assignment.
-struct WireRoute {
-  std::size_t net_index = 0;
-  Point from;  ///< bump on chiplet net.a
-  Point to;    ///< bump on chiplet net.b
-  double length_mm = 0.0;  ///< Manhattan
-};
 
 struct WirelengthReport {
   double total_mm = 0.0;
@@ -43,11 +34,6 @@ class BumpAssigner {
   /// Throws std::logic_error if any net endpoint is unplaced.
   WirelengthReport assign(const ChipletSystem& system,
                           const Floorplan& floorplan) const;
-
-  /// As assign(), also returning per-wire routes (for visualization/tests).
-  WirelengthReport assign_with_routes(const ChipletSystem& system,
-                                      const Floorplan& floorplan,
-                                      std::vector<WireRoute>& routes) const;
 
  private:
   BumpGridConfig config_;

@@ -31,13 +31,14 @@ using BatchParallelFor =
 /// passes stay serial (parameter gradients accumulate across the batch).
 /// Not thread-safe: install before training, from one thread — concurrent
 /// RlPlanner/collector instances in one process must not overlap their
-/// installations. parallel::ParallelRolloutCollector installs its pool for
-/// its lifetime and restores the previous executor on destruction (LIFO
-/// nesting is safe).
+/// installations. parallel::ScopedBatchExecutor installs a pool for its
+/// lifetime and restores the previous executor on destruction (LIFO nesting
+/// is safe).
 void set_batch_parallel_for(BatchParallelFor executor);
 
 /// As set_batch_parallel_for, returning the previously installed executor so
-/// callers can restore it (used by the collector for LIFO save/restore).
+/// callers can restore it (used by ScopedBatchExecutor for LIFO
+/// save/restore).
 BatchParallelFor exchange_batch_parallel_for(BatchParallelFor executor);
 
 /// Trainable tensor with its gradient accumulator.

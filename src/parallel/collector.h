@@ -8,8 +8,7 @@
 //   while any slot is live:
 //     1. gather the [B, C, G, G] observations of the B live slots
 //     2. ONE batched PolicyValueNet forward (batch-parallelized over rows
-//        through the thread pool when one is installed — see
-//        nn::set_batch_parallel_for)
+//        through the thread pool while a ScopedBatchExecutor installs it)
 //     3. per slot: masked-categorical sample with the slot's own RNG stream
 //     4. step all B slots — concurrently via ThreadPool::parallel_for when a
 //        pool is given (parallelizing the episode-end reward evaluation:
@@ -58,12 +57,6 @@ struct CollectorStats {
   bool degraded() const { return stop_reason != robust::StopReason::kNone; }
 };
 
-/// One environment replica plus its private action-sampling stream.
-struct EnvSlot {
-  rl::FloorplanEnv* env = nullptr;
-  Rng* rng = nullptr;
-};
-
 /// Invoked on the caller thread, in deterministic slot order, right after
 /// slot `env_index` finishes an episode and before it resets;
 /// `slots[env_index].env` still holds the terminal floorplan/metrics.
@@ -81,37 +74,22 @@ CollectorStats collect_episodes(std::span<const EnvSlot> slots,
                                 const EpisodeCallback& on_episode_end = {},
                                 const robust::RunControl& control = {});
 
-/// Convenience wrapper binding collect_episodes() to a VecEnv's replicas and
-/// RNG streams. While alive, it also installs the pool as the nn batch
-/// executor so every forward (rollout batches here, PPO minibatches in the
-/// trainer) fans its batch rows out over the pool's workers.
-class ParallelRolloutCollector {
+/// Installs `pool` as the nn batch executor (nn::set_batch_parallel_for)
+/// for its lifetime, so every batched forward — rollout batches and PPO
+/// minibatches alike — fans its rows out over the pool's workers. Rows are
+/// arithmetically independent, so results stay bit-identical. The previous
+/// executor is restored on destruction (LIFO nesting is safe).
+class ScopedBatchExecutor {
  public:
-  /// `venv` and `pool` must outlive the collector.
-  ParallelRolloutCollector(VecEnv& venv, ThreadPool& pool);
-  ~ParallelRolloutCollector();
+  /// `pool` must outlive the scope.
+  explicit ScopedBatchExecutor(ThreadPool& pool);
+  ~ScopedBatchExecutor();
 
-  ParallelRolloutCollector(const ParallelRolloutCollector&) = delete;
-  ParallelRolloutCollector& operator=(const ParallelRolloutCollector&) =
-      delete;
-
-  VecEnv& venv() { return *venv_; }
-  ThreadPool& pool() { return *pool_; }
-
-  /// Collects exactly min_episodes complete episodes (at most venv().size()
-  /// run concurrently; replicas go idle once the quota of started episodes
-  /// is met) and appends their transitions to `out`.
-  CollectorStats collect(rl::PolicyValueNet& net, std::size_t min_episodes,
-                         rl::RolloutBuffer& out,
-                         const EpisodeCallback& on_episode_end = {},
-                         const robust::RunControl& control = {});
+  ScopedBatchExecutor(const ScopedBatchExecutor&) = delete;
+  ScopedBatchExecutor& operator=(const ScopedBatchExecutor&) = delete;
 
  private:
-  VecEnv* venv_;
-  ThreadPool* pool_;
-  /// Batch executor that was installed before this collector took over;
-  /// restored by the destructor.
-  nn::BatchParallelFor previous_executor_;
+  nn::BatchParallelFor previous_;
 };
 
 }  // namespace rlplan::parallel

@@ -1,25 +1,27 @@
 // Vectorized floorplanning environment: N independent FloorplanEnv replicas.
 //
-// Each replica owns (a) a private clone of the thermal evaluator — so the
+// Each replica owns (a) a private thermal evaluator — replica 0 drives the
+// caller's evaluator itself, replicas 1..N-1 drive clones of it — so the
 // episode-end reward evaluation, the expensive part of a step, can run on any
 // worker thread with zero synchronization, and incremental evaluators
 // (thermal/incremental.h) keep fully independent per-replica coupling caches
 // fed by each env's notify_place stream — and (b) a private action-sampling
 // RNG whose seed is derived deterministically from the VecEnv seed and the
-// replica index. Because every replica's state is fully self-contained,
-// trajectories are bit-identical to running the same N environments
-// sequentially with the same derived seeds, for ANY num_threads setting
-// (tests/vec_env_test.cpp asserts exactly this).
+// replica index. A one-replica VecEnv therefore needs no clone() at all.
+// Because every replica's state is fully self-contained, trajectories are
+// bit-identical to running the same N environments sequentially with the
+// same derived seeds, for ANY num_threads setting (tests/vec_env_test.cpp
+// asserts exactly this).
 //
 // The system, reward calculator, assigner, and env config are shared by value
 // or const reference across replicas; only the evaluator and RNG are
-// per-replica mutable state.
+// per-replica mutable state. slots() hands the replicas to
+// parallel::collect_episodes (parallel/collector.h).
 #pragma once
 
 #include <cstdint>
 #include <cstddef>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "bump/assigner.h"
@@ -31,21 +33,25 @@
 
 namespace rlplan::parallel {
 
-class ThreadPool;
+/// One environment replica plus its private action-sampling stream.
+struct EnvSlot {
+  rl::FloorplanEnv* env = nullptr;
+  Rng* rng = nullptr;
+};
 
 class VecEnv {
  public:
-  /// Sanity cap on num_envs (each replica owns an evaluator clone; far more
-  /// replicas than cores is never useful and usually signals an integer
-  /// conversion bug at the call site).
+  /// Sanity cap on num_envs (each further replica owns an evaluator clone;
+  /// far more replicas than cores is never useful and usually signals an
+  /// integer conversion bug at the call site).
   static constexpr std::size_t kMaxEnvs = 4096;
 
-  /// Builds `num_envs` replicas over `system`. `prototype` is cloned once per
-  /// replica (it is not retained); `system` must outlive the VecEnv. Throws
-  /// std::invalid_argument when num_envs == 0 or the prototype evaluator
-  /// does not support cloning.
-  VecEnv(const ChipletSystem& system,
-         const thermal::ThermalEvaluator& prototype,
+  /// Builds `num_envs` replicas over `system`. Replica 0 drives `evaluator`
+  /// itself; every further replica drives its own evaluator.clone(). Both
+  /// `system` and `evaluator` must outlive the VecEnv. Throws
+  /// std::invalid_argument when num_envs == 0, or when num_envs > 1 and the
+  /// evaluator does not support cloning.
+  VecEnv(const ChipletSystem& system, thermal::ThermalEvaluator& evaluator,
          RewardCalculator reward_calc, bump::BumpAssigner assigner,
          rl::EnvConfig env_config, std::size_t num_envs, std::uint64_t seed);
 
@@ -63,24 +69,8 @@ class VecEnv {
     return *evaluators_.at(i);
   }
 
-  /// Sum of thermal evaluations across all replica evaluators.
-  long total_evaluations() const;
-
-  /// Scores complete candidate floorplans with the replicas' shared reward
-  /// pipeline — microbump wirelength, reward weights — and ONE batched
-  /// thermal call (replica 0's evaluator; the SoA batch kernel for
-  /// fast-model evaluators, optionally fanned over `pool`). Per-candidate
-  /// metrics equal env(i).evaluate_floorplan(fp) for any replica i. Throws
-  /// std::logic_error on an incomplete floorplan.
-  std::vector<rl::EpisodeMetrics> score_floorplans(
-      std::span<const Floorplan> floorplans, ThreadPool* pool = nullptr);
-
-  /// Terminal metrics of every replica's CURRENT floorplan through one
-  /// batched thermal call — the batched analogue of reading
-  /// env(i).last_metrics() after each episode. Replicas whose floorplan is
-  /// incomplete (mid-episode or dead-ended) get a default-constructed entry
-  /// (valid == false).
-  std::vector<rl::EpisodeMetrics> score_replicas(ThreadPool* pool = nullptr);
+  /// Every replica with its action stream, in replica order.
+  std::vector<EnvSlot> slots();
 
   /// Seed of replica i: the (i+1)-th output of a SplitMix64 stream over the
   /// base seed. Stable across releases — the determinism tests and any
@@ -89,10 +79,8 @@ class VecEnv {
 
  private:
   std::uint64_t seed_;
-  const ChipletSystem* system_ = nullptr;
-  RewardCalculator reward_calc_;
-  bump::BumpAssigner assigner_;
-  std::vector<std::unique_ptr<thermal::ThermalEvaluator>> evaluators_;
+  std::vector<std::unique_ptr<thermal::ThermalEvaluator>> clones_;
+  std::vector<thermal::ThermalEvaluator*> evaluators_;
   std::vector<std::unique_ptr<rl::FloorplanEnv>> envs_;
   std::vector<Rng> rngs_;
 };

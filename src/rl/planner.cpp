@@ -52,9 +52,9 @@ PlannerResult RlPlanner::run(const ChipletSystem& system,
   PlannerResult result;
   result.characterization_s = characterization_s;
 
-  // Single-scenario session over the caller's system; num_envs == 1 runs
-  // the same unified collection pipeline serially, > 1 fans replicas over
-  // the session's thread pool (each replica gets a cloned evaluator).
+  // Single-scenario session over the caller's system; num_envs == 1 steps
+  // one replica on this thread, > 1 fans replicas over the session's thread
+  // pool (replicas past the first drive cloned evaluators).
   TrainingSessionConfig sc;
   sc.env = config_.env;
   sc.net = config_.net;

@@ -47,11 +47,10 @@ struct RlPlannerConfig {
   thermal::GridSolverConfig solver{};
   thermal::CharacterizationConfig characterization{};
   ThermalBackend backend = ThermalBackend::kFastModel;
-  /// Parallel rollout collection (src/parallel/). With num_envs == 1 (the
-  /// default) training runs the legacy single-environment loop, bit-for-bit
-  /// identical to releases before the parallel subsystem existed. With
-  /// num_envs > 1, experience is collected from that many environment
-  /// replicas: one batched policy forward per step over all live replicas,
+  /// Environment replicas for rollout collection (src/parallel/). With
+  /// num_envs == 1 (the default) one replica, driving the planner's own
+  /// evaluator, is stepped on the calling thread. With num_envs > 1,
+  /// experience is collected from that many environment replicas: one batched policy forward per step over all live replicas,
   /// environment stepping (including the episode-end thermal + microbump
   /// reward evaluation) fanned out over a thread pool, and per-replica
   /// action-RNG streams derived from `seed` so results are reproducible and

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <span>
 #include <stdexcept>
 
 #include "nn/serialize.h"
@@ -37,14 +38,83 @@ std::string task_tag(std::size_t i) {
   return "task." + std::to_string(i);
 }
 
+/// Checkpoint record of task `task`'s replica-`replica` action stream.
+/// One-replica sessions keep the name the stream has always had there, so
+/// their existing checkpoints still resume.
+std::string rng_record(std::size_t task, std::size_t replica,
+                       std::size_t num_envs) {
+  return num_envs == 1
+             ? task_tag(task) + ".action_rng"
+             : task_tag(task) + ".rng." + std::to_string(replica);
+}
+
+/// One collect -> stats -> update cycle: clears `buffer`, collects
+/// `core.config()`'s episodes_per_update episodes over `slots`
+/// (parallel::collect_episodes, steps fanned over `pool` when non-null),
+/// fills RND intrinsic bonuses, folds collection statistics, advances
+/// `total_env_steps`, and runs the PPO update over the buffer. A pool is
+/// also installed as the nn batch executor for the epoch, so the rollout
+/// and PPO minibatch forwards fan over its workers too. `control` stops
+/// collection at batch granularity: a cancelled epoch skips the update
+/// entirely (the caller wants out now); a deadline-stopped epoch still
+/// updates on the full episodes it collected (best-so-far semantics).
+TrainStats run_ppo_epoch(PpoCore& core,
+                         std::span<const parallel::EnvSlot> slots,
+                         parallel::ThreadPool* pool, RolloutBuffer& buffer,
+                         long& total_env_steps,
+                         const parallel::EpisodeCallback& on_episode_end,
+                         const robust::RunControl& control) {
+  std::optional<parallel::ScopedBatchExecutor> executor;
+  if (pool != nullptr) executor.emplace(*pool);
+  TrainStats stats;
+  buffer.clear();
+
+  const auto on_end = [&](std::size_t env_index, const StepOutcome& outcome) {
+    on_episode_end(env_index, outcome);
+    core.record_episode_reward(outcome.reward);
+  };
+
+  // Clamp before the size_t conversion: a (mis)configured negative episode
+  // count must mean "collect nothing", not 2^64.
+  const auto episodes = static_cast<std::size_t>(
+      std::max(core.config().episodes_per_update, 0));
+  parallel::CollectorStats cstats;
+  {
+    RLPLAN_TRACE_SPAN("rl.collect", static_cast<std::int64_t>(episodes));
+    cstats = parallel::collect_episodes(slots, core.net(), episodes, buffer,
+                                        pool, on_end, control);
+  }
+  stats.stop_reason = cstats.stop_reason;
+  RLPLAN_COUNTER_ADD("rl.env_steps", cstats.steps);
+  RLPLAN_COUNTER_ADD("rl.episodes", cstats.episodes);
+  total_env_steps += static_cast<long>(cstats.steps);
+  core.fill_intrinsic(buffer);
+
+  stats.steps = cstats.steps;
+  stats.episodes = cstats.episodes;
+  stats.dead_ends = cstats.dead_ends;
+  stats.mean_reward =
+      cstats.episodes > 0
+          ? cstats.reward_sum / static_cast<double>(cstats.episodes)
+          : 0.0;
+  stats.best_reward = cstats.episodes > 0 ? cstats.reward_best : 0.0;
+
+  if (!buffer.empty() && stats.stop_reason != robust::StopReason::kCancelled) {
+    RLPLAN_TRACE_SPAN("rl.update",
+                      static_cast<std::int64_t>(buffer.steps().size()));
+    core.update(buffer, stats);
+  }
+  return stats;
+}
+
 }  // namespace
 
-/// Per-task mutable training state: the replica(s), their action streams,
+/// Per-task mutable training state: the replicas with their action streams,
 /// and the best floorplan sampled so far.
 struct TrainingSession::TaskRuntime {
-  std::optional<FloorplanEnv> env;  ///< num_envs == 1
-  Rng action_rng{0};                ///< serial action stream (replica 0)
-  std::optional<parallel::VecEnv> venv;  ///< num_envs > 1
+  explicit TaskRuntime(parallel::VecEnv v) : venv(std::move(v)) {}
+
+  parallel::VecEnv venv;
   std::optional<Floorplan> best;
   EpisodeMetrics best_metrics{};
 };
@@ -91,34 +161,26 @@ TrainingSession::TrainingSession(TrainingSessionConfig config,
   for (std::size_t ti = 0; ti < tasks_.size(); ++ti) {
     SessionTask& t = tasks_[ti];
     // Per-task base seed (util/rng.h): task 0 uses the master seed directly
-    // (single-scenario sessions match RlPlanner / standalone PpoTrainer
-    // streams); later tasks derive independent bases so curriculum tasks
-    // never replay each other's action sequences.
+    // (single-scenario sessions match RlPlanner streams); later tasks derive
+    // independent bases so curriculum tasks never replay each other's action
+    // sequences.
     const std::uint64_t task_seed =
         ti == 0 ? config_.seed
                 : derive_named_stream_seed(config_.seed,
                                            substream::kTaskBase + ti);
-    auto rt = std::make_unique<TaskRuntime>();
-    if (config_.num_envs == 1) {
-      rt->env.emplace(*t.system, *t.evaluator,
-                      RewardCalculator(config_.reward),
-                      bump::BumpAssigner(config_.bump), config_.env);
-      rt->action_rng = Rng(derive_substream_seed(task_seed, 0));
-    } else {
-      rt->venv.emplace(*t.system, *t.evaluator,
-                       RewardCalculator(config_.reward),
-                       bump::BumpAssigner(config_.bump), config_.env,
-                       config_.num_envs, task_seed);
-    }
-    runtimes_.push_back(std::move(rt));
+    // Replica 0 drives the task's own evaluator, so a one-replica session
+    // never needs clone().
+    runtimes_.push_back(std::make_unique<TaskRuntime>(parallel::VecEnv(
+        *t.system, *t.evaluator, RewardCalculator(config_.reward),
+        bump::BumpAssigner(config_.bump), config_.env, config_.num_envs,
+        task_seed)));
   }
 }
 
 TrainingSession::~TrainingSession() = default;
 
 FloorplanEnv& TrainingSession::primary_env(std::size_t i) {
-  TaskRuntime& rt = *runtimes_.at(i);
-  return rt.env ? *rt.env : rt.venv->env(0);
+  return runtimes_.at(i)->venv.env(0);
 }
 
 std::size_t TrainingSession::pick_task() {
@@ -163,30 +225,19 @@ TrainStats TrainingSession::train_epoch() {
   const auto curriculum_state = curriculum_rng_.state();
   const std::size_t ti = pick_task();
   TaskRuntime& rt = *runtimes_[ti];
-  const auto action_rng_state = rt.action_rng.state();
-  std::vector<std::array<std::uint64_t, 4>> venv_rng_states;
-  if (rt.venv) {
-    venv_rng_states.reserve(config_.num_envs);
-    for (std::size_t j = 0; j < config_.num_envs; ++j) {
-      venv_rng_states.push_back(rt.venv->rng(j).state());
-    }
+  std::vector<std::array<std::uint64_t, 4>> rng_states;
+  rng_states.reserve(rt.venv.size());
+  for (std::size_t j = 0; j < rt.venv.size(); ++j) {
+    rng_states.push_back(rt.venv.rng(j).state());
   }
   const long steps_before = total_env_steps_;
   const PpoCore::RewardNormState rew_before = core_.reward_norm_state();
 
-  // The scoped collector also installs the pool as the nn batch executor, so
-  // the PPO minibatch forwards inside run_ppo_epoch fan over the workers
-  // too; construction per epoch keeps executor install/restore strictly
-  // LIFO across tasks.
-  std::optional<parallel::ParallelRolloutCollector> collector;
-  if (rt.venv) collector.emplace(*rt.venv, *pool_);
-
   TrainStats stats = run_ppo_epoch(
-      core_, collector ? &*collector : nullptr, rt.env ? &*rt.env : nullptr,
-      &rt.action_rng, buffer_, total_env_steps_,
+      core_, rt.venv.slots(), pool_.get(), buffer_, total_env_steps_,
       [&](std::size_t env_index, const StepOutcome& outcome) {
         if (!outcome.dead_end) {
-          FloorplanEnv& env = rt.env ? *rt.env : rt.venv->env(env_index);
+          const FloorplanEnv& env = rt.venv.env(env_index);
           consider_best(rt, env.last_metrics(), env.floorplan());
         }
       },
@@ -197,9 +248,8 @@ TrainStats TrainingSession::train_epoch() {
   // consumed so the checkpoint is the last-completed-epoch state.
   if (stats.stop_reason == robust::StopReason::kCancelled) {
     curriculum_rng_.set_state(curriculum_state);
-    rt.action_rng.set_state(action_rng_state);
-    for (std::size_t j = 0; j < venv_rng_states.size(); ++j) {
-      rt.venv->rng(j).set_state(venv_rng_states[j]);
+    for (std::size_t j = 0; j < rng_states.size(); ++j) {
+      rt.venv.rng(j).set_state(rng_states[j]);
     }
     total_env_steps_ = steps_before;
     core_.restore_reward_norm(rew_before);
@@ -330,12 +380,8 @@ void TrainingSession::save_checkpoint(const std::string& path) const {
   for (std::size_t i = 0; i < tasks_.size(); ++i) {
     const TaskRuntime& rt = *runtimes_[i];
     const std::string tag = task_tag(i);
-    if (rt.env) {
-      w.u64vec(tag + ".action_rng", rt.action_rng.state());
-    } else {
-      for (std::size_t j = 0; j < config_.num_envs; ++j) {
-        w.u64vec(tag + ".rng." + std::to_string(j), rt.venv->rng(j).state());
-      }
+    for (std::size_t j = 0; j < rt.venv.size(); ++j) {
+      w.u64vec(rng_record(i, j, config_.num_envs), rt.venv.rng(j).state());
     }
     w.u64(tag + ".best_present", rt.best ? 1 : 0);
     if (rt.best) {
@@ -516,12 +562,8 @@ void TrainingSession::load_checkpoint(const std::string& path,
       }
       rng.set_state({s[0], s[1], s[2], s[3]});
     };
-    if (rt.env) {
-      restore_rng(rt.action_rng, tag + ".action_rng");
-    } else {
-      for (std::size_t j = 0; j < config_.num_envs; ++j) {
-        restore_rng(rt.venv->rng(j), tag + ".rng." + std::to_string(j));
-      }
+    for (std::size_t j = 0; j < rt.venv.size(); ++j) {
+      restore_rng(rt.venv.rng(j), rng_record(i, j, config_.num_envs));
     }
     if (r.u64(tag + ".best_present") != 0) {
       const auto flat = r.u64vec(tag + ".best_placements");

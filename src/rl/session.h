@@ -1,8 +1,7 @@
 // TrainingSession — the resumable, scenario-driven training engine.
 //
-// Owns the full RL training lifecycle that used to be scattered across
-// RlPlanner, PpoTrainer, and ad-hoc scripts: experience collection over one
-// or many problem instances, PPO updates (through a PpoCore), versioned
+// Owns the full RL training lifecycle: experience collection over one or
+// many problem instances, PPO updates (through a PpoCore), versioned
 // full-state checkpointing, and multi-scenario curriculum training. Both
 // RlPlanner and tools/regress.cpp are thin shells over this class;
 // tools/train.cpp exposes it directly (train/resume/eval subcommands, JSONL
@@ -10,15 +9,15 @@
 //
 // ## Lifecycle
 //
-//   tasks (name + system + thermal evaluator prototype)
+//   tasks (name + system + thermal evaluator)
 //        |
-//        v            num_envs==1: FloorplanEnv + replica-0 action stream
-//   TrainingSession --+
-//        |            num_envs >1: VecEnv (cloned evaluators, per-replica
-//        |                         streams) + shared ThreadPool
+//        v            one VecEnv of num_envs replicas per task: replica 0
+//   TrainingSession   drives the task's evaluator, replicas 1..N-1 drive
+//        |            clones; per-replica action streams; a shared
+//        |            ThreadPool when num_envs > 1
 //        v
 //   train_epoch():  pick scenario (round-robin / sampled curriculum)
-//                   -> parallel::collect_episodes (THE one pipeline)
+//                   -> parallel::collect_episodes over the replicas
 //                   -> PpoCore::update (clipped-surrogate PPO + RND)
 //                   -> per-scenario best-floorplan tracking
 //        |
@@ -39,14 +38,15 @@
 //              | normalizer Welford state, intrinsic scale, RND block
 //              | (target/predictor weights, predictor Adam, error Welford)
 //   session    | epoch + env-step counters, curriculum RNG, per-task action
-//              | RNG streams (serial or per replica), per-task best
+//              | RNG streams ("task.<i>.action_rng" with one replica,
+//              | "task.<i>.rng.<j>" per replica otherwise), per-task best
 //              | floorplan + metrics
 //   end        | terminal marker (turns tail truncation into an error)
 //
 // Every float/double is stored as raw IEEE-754 bits and every RNG as its raw
 // state, so `train(N)` and `train(k); save; load; train(N-k)` produce
-// bit-identical parameters, statistics, and best floorplans — for serial and
-// parallel collection alike (tests/session_test.cpp asserts exactly this).
+// bit-identical parameters, statistics, and best floorplans — for one
+// replica and many alike (tests/session_test.cpp asserts exactly this).
 // load_checkpoint() also reads v1 (RLPNNv1, weight-only) files: weights are
 // restored, optimizer/normalizer/RNG state starts fresh.
 //
@@ -95,8 +95,8 @@ struct SessionTask {
   /// Must outlive the session at a stable address (floorplans returned by
   /// the session reference it).
   const ChipletSystem* system = nullptr;
-  /// Evaluator prototype. Used directly when num_envs == 1; cloned per
-  /// replica by VecEnv when num_envs > 1 (must support clone() then).
+  /// Drives replica 0; replicas 1..num_envs-1 drive clones of it (it must
+  /// support clone() when num_envs > 1).
   std::unique_ptr<thermal::ThermalEvaluator> evaluator;
 };
 
@@ -106,8 +106,8 @@ struct TrainingSessionConfig {
   PpoConfig ppo{};
   RewardParams reward{};
   bump::BumpGridConfig bump{};
-  /// Environment replicas per task; 1 = serial collection through the same
-  /// unified pipeline. See RlPlannerConfig for the full semantics.
+  /// Environment replicas per task; 1 = one replica stepped on the calling
+  /// thread. See RlPlannerConfig for the full semantics.
   std::size_t num_envs = 1;
   std::size_t num_threads = 0;  ///< 0 = min(num_envs, hardware)
   CurriculumMode curriculum = CurriculumMode::kRoundRobin;

@@ -5,13 +5,16 @@
 // Geometric cooling with Metropolis acceptance; the proposal function may
 // decline to produce a move (returns std::nullopt), which costs an iteration
 // but no evaluation — matching how floorplan moves that violate legality are
-// rejected before the expensive thermal call.
+// rejected before the expensive thermal call. A round may score several
+// proposals through one batched cost call (TAP-2.5D population mode).
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -64,19 +67,39 @@ struct AnnealHooks {
   std::function<void()> on_reject;
 };
 
-/// Minimizes `cost` over states proposed by `propose`. Returns the best
-/// state encountered; statistics in `stats`.
+/// Scores every candidate of a round into the index-aligned `costs` span
+/// (same size as `candidates`).
 template <typename State>
-State anneal(State initial,
-             const std::function<double(const State&)>& cost,
+using BatchCost =
+    std::function<void(std::span<const State> candidates,
+                       std::span<double> costs)>;
+
+/// Minimizes the cost over states proposed by `propose`. Returns the best
+/// state encountered; statistics in `stats`.
+///
+/// Each Metropolis round draws `round` proposals from the current state and
+/// scores the legal ones through ONE `score` call; the cheapest candidate
+/// (first on ties) then faces the Metropolis test, and the hooks fire once
+/// per round with its verdict. Every scored candidate counts as an
+/// evaluation, and the budget is checked before each round, so a run stops
+/// within `max_evaluations + round - 1` evaluations. The initial state and
+/// the calibration probes are scored one at a time. `round` == 1 is the
+/// classic single-proposal anneal.
+template <typename State>
+State anneal(State initial, const BatchCost<State>& score,
              const std::function<std::optional<State>(const State&, Rng&)>&
                  propose,
              const AnnealOptions& options, Rng& rng, AnnealStats& stats,
-             const AnnealHooks& hooks = {}) {
+             const AnnealHooks& hooks = {}, std::size_t round = 1) {
   const Timer timer;
   const bool controlled = options.control.active();
+  const auto score_one = [&score](const State& s) {
+    double c = 0.0;
+    score(std::span<const State>(&s, 1), std::span<double>(&c, 1));
+    return c;
+  };
   State current = initial;
-  double current_cost = cost(current);
+  double current_cost = score_one(current);
   ++stats.evaluations;
   if (hooks.on_accept) hooks.on_accept();
   State best = current;
@@ -93,7 +116,7 @@ State anneal(State initial,
       if (controlled && options.control.stop_requested()) break;
       auto cand = propose(current, rng);
       if (!cand) continue;
-      const double c = cost(*cand);
+      const double c = score_one(*cand);
       ++stats.evaluations;
       if (hooks.on_reject) hooks.on_reject();  // probes never advance current
       delta_sum += std::abs(c - current_cost);
@@ -106,10 +129,13 @@ State anneal(State initial,
     t = samples > 0 ? std::max(delta_sum / samples, 1e-6) : 1.0;
   }
 
+  std::vector<State> candidates;
+  candidates.reserve(round);
+  std::vector<double> costs(round);
   std::int64_t anneal_level = 0;
   while (t > options.t_final) {
-    // One span per temperature level (not per move: classic-mode moves are
-    // ~µs and would be dominated by the span cost itself).
+    // One span per temperature level (not per round: classic-mode rounds
+    // are ~µs and would be dominated by the span cost itself).
     RLPLAN_TRACE_SPAN("sa.level", anneal_level++);
     for (int m = 0; m < options.moves_per_temperature; ++m) {
       if (stats.evaluations >= options.max_evaluations) break;
@@ -118,21 +144,33 @@ State anneal(State initial,
         break;
       }
       if (controlled && options.control.stop_requested()) break;
-      ++stats.proposals;
-      auto cand = propose(current, rng);
-      if (!cand) continue;
-      const double cand_cost = cost(*cand);
-      ++stats.evaluations;
-      const double delta = cand_cost - current_cost;
+      candidates.clear();
+      for (std::size_t c = 0; c < round; ++c) {
+        ++stats.proposals;
+        auto cand = propose(current, rng);
+        if (cand) candidates.push_back(std::move(*cand));
+      }
+      if (candidates.empty()) continue;
+      const std::size_t n = candidates.size();
+      score(std::span<const State>(candidates),
+            std::span<double>(costs.data(), n));
+      stats.evaluations += static_cast<long>(n);
+      const std::size_t pick = static_cast<std::size_t>(
+          std::min_element(costs.begin(),
+                           costs.begin() + static_cast<std::ptrdiff_t>(n)) -
+          costs.begin());
+      // Every scored candidate is a complete state: keep the best even when
+      // the Metropolis test below rejects it.
+      if (costs[pick] < best_cost) {
+        best = candidates[pick];
+        best_cost = costs[pick];
+      }
+      const double delta = costs[pick] - current_cost;
       if (delta <= 0.0 || rng.uniform() < std::exp(-delta / t)) {
-        current = std::move(*cand);
-        current_cost = cand_cost;
+        current = std::move(candidates[pick]);
+        current_cost = costs[pick];
         ++stats.accepted;
         if (hooks.on_accept) hooks.on_accept();
-        if (current_cost < best_cost) {
-          best = current;
-          best_cost = current_cost;
-        }
       } else if (hooks.on_reject) {
         hooks.on_reject();
       }
@@ -154,6 +192,23 @@ State anneal(State initial,
   stats.final_temperature = t;
   stats.seconds = timer.seconds();
   return best;
+}
+
+/// The classic single-proposal anneal over a per-state cost function.
+template <typename State>
+State anneal(State initial, const std::function<double(const State&)>& cost,
+             const std::function<std::optional<State>(const State&, Rng&)>&
+                 propose,
+             const AnnealOptions& options, Rng& rng, AnnealStats& stats,
+             const AnnealHooks& hooks = {}) {
+  const BatchCost<State> score = [&cost](std::span<const State> candidates,
+                                         std::span<double> costs) {
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+      costs[i] = cost(candidates[i]);
+    }
+  };
+  return anneal<State>(std::move(initial), score, propose, options, rng,
+                       stats, hooks);
 }
 
 }  // namespace rlplan::sa

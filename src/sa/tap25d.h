@@ -10,8 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <optional>
 
 #include "bump/assigner.h"
 #include "core/chiplet.h"
@@ -34,14 +32,14 @@ struct Tap25dConfig {
   double displace_frac_final = 0.02;
   double spacing_mm = 0.0;
   std::uint64_t seed = 1;
-  /// Candidates proposed and scored per Metropolis round. 1 (default) is the
-  /// classic single-proposal anneal driven through the incremental thermal
-  /// protocol. K > 1 switches to population mode: each round draws up to K
-  /// legal perturbations of the current state, scores all of them through
-  /// ONE ThermalEvaluator::max_temperature_batch() call (the SoA batch
-  /// kernel on fast-model evaluators), and applies Metropolis acceptance to
-  /// the best candidate. Each scored candidate counts against
-  /// anneal.max_evaluations.
+  /// Candidates proposed and scored per Metropolis round (the `round` of
+  /// sa::anneal). 1 (default) is the classic single-proposal anneal driven
+  /// through the incremental thermal protocol. K > 1 is population mode:
+  /// each round draws up to K legal perturbations of the current state,
+  /// scores all of them through ONE ThermalEvaluator::max_temperature_batch()
+  /// call (the SoA batch kernel on fast-model evaluators), and applies
+  /// Metropolis acceptance to the best candidate. Each scored candidate
+  /// counts against anneal.max_evaluations.
   std::size_t population = 1;
   /// Worker threads for the batched thermal scoring when population > 1
   /// (0 = score the batch on the calling thread). Results are identical for
@@ -84,15 +82,6 @@ class Tap25dPlanner {
                     bump::BumpAssigner assigner = bump::BumpAssigner{});
 
  private:
-  /// Population-mode anneal: K proposals per Metropolis round, scored with
-  /// one ThermalEvaluator::max_temperature_batch() call per round.
-  Floorplan anneal_population(
-      const ChipletSystem& system, thermal::ThermalEvaluator& evaluator,
-      const RewardCalculator& reward_calc, const bump::BumpAssigner& assigner,
-      Floorplan initial,
-      std::function<std::optional<Floorplan>(const Floorplan&, Rng&)> propose,
-      Rng& rng, AnnealStats& stats) const;
-
   Tap25dConfig config_;
 };
 

@@ -8,7 +8,7 @@
 // ## Seed derivation (the training stack's single-seed contract)
 //
 // One master seed S — RlPlannerConfig::seed / TrainingSessionConfig::seed
-// (PpoConfig::seed when a PpoTrainer is built standalone) — derives EVERY
+// (PpoConfig::seed for a standalone PpoCore) — derives EVERY
 // stream the training engine consumes. The derivation is part of the
 // checkpoint/determinism contract and must stay stable across releases:
 //
@@ -17,15 +17,13 @@
 //   net init + PPO update shuffle | S (Rng(S) directly; weight init     | PpoCore
 //   + RND init & predictor shuffle|   draws first, then minibatch and   |
 //                                 |   RND shuffles continue the stream) |
-//   action sampling, env replica i| derive_substream_seed(S_t, i)       | VecEnv /
-//   of curriculum task t (serial  |   (the (i+1)-th SplitMix64 value)   | PpoTrainer
-//   collection == i = 0)          |                                     |
+//   action sampling, env replica i| derive_substream_seed(S_t, i)       | VecEnv
+//   of curriculum task t          |   (the (i+1)-th SplitMix64 value)   |
 //   curriculum scenario picks     | derive_named_stream_seed(S,         | Training-
 //                                 |   substream::kCurriculum)           | Session
 //
 // where S_t is the per-task base seed: S_0 = S — so single-scenario
-// sessions, RlPlanner, and a standalone PpoTrainer all sample identical
-// streams for one seed — and S_t = derive_named_stream_seed(S,
+// sessions and RlPlanner sample identical streams for one seed — and S_t = derive_named_stream_seed(S,
 // substream::kTaskBase + t) for t > 0, so curriculum tasks never replay
 // each other's action sequences.
 //
@@ -156,8 +154,7 @@ class Rng {
 /// SplitMix64 stream over `base`. Used for *small, dense* index ranges —
 /// environment replicas, [0, parallel::VecEnv::kMaxEnvs) — where the
 /// O(index) walk is a handful of iterations. parallel::VecEnv::derive_seed
-/// delegates here, and the serial trainer's action stream is sub-stream 0,
-/// so `num_envs == 1` samples from exactly the stream replica 0 would use.
+/// delegates here, so a one-replica session samples from sub-stream 0.
 /// Stable across releases: checkpoints and recorded trajectories depend on
 /// it.
 inline std::uint64_t derive_substream_seed(std::uint64_t base,

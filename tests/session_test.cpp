@@ -48,6 +48,21 @@ class ProxyEvaluator final : public thermal::ThermalEvaluator {
   long count_ = 0;
 };
 
+// ProxyEvaluator without clone(): a one-replica session must drive it
+// directly, and every evaluation of the session lands on this object.
+class NoCloneEvaluator final : public thermal::ThermalEvaluator {
+ public:
+  double max_temperature(const ChipletSystem& system,
+                         const Floorplan& floorplan) override {
+    return inner_.max_temperature(system, floorplan);
+  }
+  long num_evaluations() const override { return inner_.num_evaluations(); }
+  std::string name() const override { return "no-clone-proxy"; }
+
+ private:
+  ProxyEvaluator inner_;
+};
+
 // ProxyEvaluator that fires a cancel token after an armed number of further
 // evaluations — lands a cooperative cancel deterministically mid-collection.
 class CancellingEvaluator final : public thermal::ThermalEvaluator {
@@ -570,6 +585,40 @@ TEST(TrainingSession, CheckpointFilesAreByteDeterministic) {
   EXPECT_EQ(ba, bb);
   std::remove(p1.c_str());
   std::remove(p2.c_str());
+}
+
+TEST(TrainingSession, OneReplicaDrivesTheTaskEvaluatorWithoutClone) {
+  const auto sys = tiny_system_a();
+  auto owned = std::make_unique<NoCloneEvaluator>();
+  const NoCloneEvaluator* evaluator = owned.get();
+  std::vector<SessionTask> tasks;
+  tasks.push_back({"a", &sys, std::move(owned)});
+  TrainingSession session(small_config(31), std::move(tasks));
+  ASSERT_EQ(evaluator->num_evaluations(), 0);
+
+  // Every complete episode is scored once, on the task's own evaluator.
+  long expected = 0;
+  for (int e = 0; e < 2; ++e) {
+    const TrainStats stats = session.train_epoch();
+    EXPECT_EQ(stats.episodes, 6u);
+    expected += static_cast<long>(stats.episodes - stats.dead_ends);
+    EXPECT_EQ(evaluator->num_evaluations(), expected);
+  }
+  EXPECT_TRUE(session.has_best(0));
+
+  const EpisodeMetrics greedy = session.greedy_episode(0);
+  if (greedy.valid) ++expected;
+  EXPECT_EQ(evaluator->num_evaluations(), expected);
+  session.evaluate_floorplan(0, session.best_floorplan(0));
+  EXPECT_EQ(evaluator->num_evaluations(), expected + 1);
+}
+
+TEST(TrainingSession, MultiReplicaSessionRejectsNonCloneableEvaluator) {
+  const auto sys = tiny_system_a();
+  std::vector<SessionTask> tasks;
+  tasks.push_back({"a", &sys, std::make_unique<NoCloneEvaluator>()});
+  EXPECT_THROW(TrainingSession(small_config(31, 2), std::move(tasks)),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -121,6 +121,10 @@ TEST(VecEnv, RejectsZeroEnvsAndNonCloneableEvaluators) {
   EXPECT_THROW(VecEnv(sys, bad, RewardCalculator{}, bump::BumpAssigner{},
                       {.grid = 16}, 2, 1),
                std::invalid_argument);
+  // One replica drives the evaluator itself, so it needs no clone().
+  VecEnv single(sys, bad, RewardCalculator{}, bump::BumpAssigner{},
+                {.grid = 16}, 1, 1);
+  EXPECT_EQ(&single.evaluator(0), &bad);
 }
 
 TEST(VecEnv, ReplicasAreIndependent) {
@@ -142,8 +146,11 @@ TEST(VecEnv, ReplicasAreIndependent) {
   const auto& mask1_after = venv.env(1).action_mask();
   EXPECT_TRUE(std::equal(snapshot.begin(), snapshot.end(),
                          mask1_after.begin()));
-  // Episode-end evaluations land on the replica's own evaluator clone.
-  EXPECT_EQ(venv.evaluator(0).num_evaluations(), 0);
+  // Replica 0 drives the caller's evaluator; the others drive clones.
+  EXPECT_EQ(&venv.evaluator(0), &proto);
+  EXPECT_NE(&venv.evaluator(1), &proto);
+  EXPECT_NE(&venv.evaluator(1), &venv.evaluator(2));
+  EXPECT_EQ(venv.evaluator(1).num_evaluations(), 0);
   EXPECT_EQ(proto.num_evaluations(), 0);
 }
 
@@ -188,78 +195,6 @@ TEST(VecEnv, IncrementalEvaluatorClonesMatchBatchEvaluator) {
   const double batch_reward = episode_reward(batch_proto);
   const double incr_reward = episode_reward(incr_proto);
   EXPECT_NEAR(incr_reward, batch_reward, 1e-9);
-}
-
-TEST(VecEnv, BatchedScoringMatchesPerEnvEvaluation) {
-  // score_floorplans()/score_replicas() route every candidate through ONE
-  // SoA-batched thermal call; the metrics must equal what each replica's own
-  // evaluate_floorplan() reports, for any thread count.
-  const auto sys = small_system();
-  std::vector<double> dims{2.0, 8.0, 14.0};
-  std::vector<std::vector<double>> self_vals(3, std::vector<double>(3, 0.0));
-  for (std::size_t i = 0; i < 3; ++i) {
-    for (std::size_t j = 0; j < 3; ++j) {
-      self_vals[i][j] = 2.0 / (1.0 + 0.05 * dims[i] * dims[j]);
-    }
-  }
-  std::vector<double> distances, mutual_vals;
-  for (double d = 0.0; d <= 50.0; d += 2.0) {
-    distances.push_back(d);
-    mutual_vals.push_back(0.03 + 0.7 * std::exp(-d / 6.0));
-  }
-  thermal::FastThermalModel model(
-      thermal::SelfResistanceTable(dims, dims, self_vals),
-      thermal::MutualResistanceTable(distances, mutual_vals), 45.0, {});
-  model.set_image_params(32.0, 32.0, 0.03);
-
-  thermal::IncrementalFastModelEvaluator proto(model);
-  VecEnv venv(sys, proto, RewardCalculator{}, bump::BumpAssigner{},
-              {.grid = 16}, 3, 99);
-
-  // Run every replica to a complete episode (greedy first-feasible action).
-  for (std::size_t i = 0; i < venv.size(); ++i) {
-    rl::FloorplanEnv& env = venv.env(i);
-    env.reset();
-    while (!env.done()) {
-      std::size_t action = i;  // small per-replica variation
-      while (env.action_mask()[action % env.num_actions()] == 0) ++action;
-      env.step(action % env.num_actions());
-    }
-    ASSERT_TRUE(env.floorplan().is_complete());
-  }
-
-  std::vector<Floorplan> fps;
-  for (std::size_t i = 0; i < venv.size(); ++i) {
-    fps.push_back(venv.env(i).floorplan());
-  }
-  const auto batched = venv.score_floorplans(fps);
-  ThreadPool pool(2);
-  const auto pooled = venv.score_floorplans(fps, &pool);
-  const auto replicas = venv.score_replicas();
-  ASSERT_EQ(batched.size(), venv.size());
-  for (std::size_t i = 0; i < venv.size(); ++i) {
-    const auto direct = venv.env(i).evaluate_floorplan(fps[i]);
-    ASSERT_TRUE(batched[i].valid);
-    EXPECT_NEAR(batched[i].temperature_c, direct.temperature_c, 1e-9);
-    EXPECT_NEAR(batched[i].wirelength_mm, direct.wirelength_mm, 1e-9);
-    EXPECT_NEAR(batched[i].reward, direct.reward, 1e-9);
-    // Thread fan-out never changes the numbers.
-    EXPECT_EQ(pooled[i].temperature_c, batched[i].temperature_c);
-    // score_replicas reads the same terminal floorplans.
-    ASSERT_TRUE(replicas[i].valid);
-    EXPECT_EQ(replicas[i].temperature_c, batched[i].temperature_c);
-    EXPECT_EQ(replicas[i].reward, batched[i].reward);
-  }
-
-  // Incomplete replicas come back invalid instead of throwing.
-  venv.env(0).reset();
-  const auto partial = venv.score_replicas();
-  EXPECT_FALSE(partial[0].valid);
-  EXPECT_TRUE(partial[1].valid);
-  // ...but explicitly scoring an incomplete floorplan is a caller bug.
-  EXPECT_THROW(venv.score_floorplans(
-                   std::vector<Floorplan>{venv.env(0).floorplan()}),
-               std::logic_error);
 }
 
 // ------------------------------------------------------------ Collector ----
@@ -310,7 +245,7 @@ std::vector<TrajectoryStep> sequential_episode(const ChipletSystem& sys,
   return steps;
 }
 
-TEST(ParallelRolloutCollector, MatchesSequentialSingleEnvRuns) {
+TEST(CollectEpisodes, MatchesSequentialSingleEnvRuns) {
   const auto sys = small_system();
   const std::size_t grid = 16;
   const std::uint64_t seed = 11;
@@ -323,9 +258,10 @@ TEST(ParallelRolloutCollector, MatchesSequentialSingleEnvRuns) {
   VecEnv venv(sys, proto, RewardCalculator{}, bump::BumpAssigner{},
               {.grid = grid}, num_envs, seed);
   ThreadPool pool(3);
-  ParallelRolloutCollector collector(venv, pool);
+  const ScopedBatchExecutor executor(pool);
   rl::RolloutBuffer buffer;
-  const CollectorStats stats = collector.collect(net, num_envs, buffer);
+  const CollectorStats stats =
+      collect_episodes(venv.slots(), net, num_envs, buffer, &pool);
 
   EXPECT_EQ(stats.episodes, num_envs);
   ASSERT_EQ(stats.dead_ends, 0u)
@@ -357,7 +293,7 @@ TEST(ParallelRolloutCollector, MatchesSequentialSingleEnvRuns) {
   }
 }
 
-TEST(ParallelRolloutCollector, ResultIsIndependentOfNumThreads) {
+TEST(CollectEpisodes, ResultIsIndependentOfNumThreads) {
   const auto sys = small_system();
   const std::size_t grid = 16;
   Rng net_rng(5);
@@ -368,9 +304,9 @@ TEST(ParallelRolloutCollector, ResultIsIndependentOfNumThreads) {
     VecEnv venv(sys, proto, RewardCalculator{}, bump::BumpAssigner{},
                 {.grid = grid}, 3, 21);
     ThreadPool pool(threads);
-    ParallelRolloutCollector collector(venv, pool);
+    const ScopedBatchExecutor executor(pool);
     rl::RolloutBuffer buffer;
-    collector.collect(net, 7, buffer);
+    collect_episodes(venv.slots(), net, 7, buffer, &pool);
     return buffer;
   };
 
@@ -391,7 +327,7 @@ TEST(ParallelRolloutCollector, ResultIsIndependentOfNumThreads) {
   }
 }
 
-TEST(ParallelRolloutCollector, CollectsExactEpisodeQuota) {
+TEST(CollectEpisodes, CollectsExactEpisodeQuota) {
   const auto sys = small_system();
   Rng net_rng(5);
   rl::PolicyValueNet net(tiny_net_config(16), net_rng);
@@ -399,12 +335,13 @@ TEST(ParallelRolloutCollector, CollectsExactEpisodeQuota) {
   VecEnv venv(sys, proto, RewardCalculator{}, bump::BumpAssigner{},
               {.grid = 16}, 4, 3);
   ThreadPool pool(2);
-  ParallelRolloutCollector collector(venv, pool);
+  const auto slots = venv.slots();
 
   // Quota below, equal to, and above the replica count.
   for (const std::size_t quota : {2u, 4u, 9u}) {
     rl::RolloutBuffer buffer;
-    const CollectorStats stats = collector.collect(net, quota, buffer);
+    const CollectorStats stats =
+        collect_episodes(slots, net, quota, buffer, &pool);
     EXPECT_EQ(stats.episodes, quota);
     EXPECT_EQ(stats.steps, buffer.size());
     EXPECT_EQ(buffer.num_episodes(), quota);
@@ -473,11 +410,11 @@ ChipletSystem* ParallelPlannerTest::system_ = nullptr;
 thermal::FastThermalModel* ParallelPlannerTest::model_ = nullptr;
 
 TEST_F(ParallelPlannerTest, NumEnvs1MatchesLegacyPlannerPath) {
-  // num_envs = 1 must dispatch to the legacy single-env loop: the explicit
+  // num_envs = 1 steps one replica on the calling thread: the explicit
   // setting and the default produce bit-identical runs.
   rl::RlPlannerConfig explicit_cfg = tiny_config();
   explicit_cfg.num_envs = 1;
-  explicit_cfg.num_threads = 4;  // must be ignored on the legacy path
+  explicit_cfg.num_threads = 4;  // must be ignored with one replica
   rl::RlPlanner legacy(tiny_config());
   rl::RlPlanner explicit_one(explicit_cfg);
 

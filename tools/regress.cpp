@@ -167,13 +167,26 @@ int main(int argc, char** argv) {
   const std::string filter = bench::flag_str(argc, argv, "filter", "");
   const double perf_scale =
       bench::flag_double(argc, argv, "perf-scale", 1.0);
-  const auto sa_population = static_cast<std::size_t>(
-      bench::flag_int(argc, argv, "sa-population", 1));
+  const long sa_population_flag =
+      bench::flag_int(argc, argv, "sa-population", 1);
   const double scenario_deadline_s =
       bench::flag_double(argc, argv, "scenario-deadline-s", 0.0);
-  auto threads = static_cast<std::size_t>(bench::flag_int(
+  const long threads_flag = bench::flag_int(
       argc, argv, "threads",
-      static_cast<long>(parallel::ThreadPool::hardware_threads())));
+      static_cast<long>(parallel::ThreadPool::hardware_threads()));
+  // Checked before the size_t conversions: a negative count would wrap to
+  // 2^64 - 1 and become an SA round or a thread count that never ends.
+  if (sa_population_flag < 1 || threads_flag < 0) {
+    std::fprintf(stderr,
+                 "[regress] --sa-population must be >= 1 and --threads >= 0\n"
+                 "usage: regress [--suite=DIR] [--json=PATH] [--threads=N>=0] "
+                 "[--sa-population=K>=1] [--filter=S] [--perf-scale=X] "
+                 "[--scenario-deadline-s=S] [--list] [--trace=PATH] "
+                 "[--metrics=PATH]\n");
+    return 2;
+  }
+  const auto sa_population = static_cast<std::size_t>(sa_population_flag);
+  const auto threads = static_cast<std::size_t>(threads_flag);
   // Telemetry side channel: spans/counters from every layer the scenarios
   // exercise. Enabling it never changes scores (CI proves determinism).
   const std::string trace_path = bench::flag_str(argc, argv, "trace", "");
