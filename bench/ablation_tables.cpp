@@ -8,7 +8,8 @@
 //   * + measured position-correction table instead of images
 //   * source subsampling / receiver probing variants
 //
-// Flags: --samples=N (default 60) --grid=G (default 48)
+// Flags: --samples=N (default 60) --grid=G (default 48). Exits 1 when any
+// variant fails to characterize or evaluate.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -131,6 +132,7 @@ int main(int argc, char** argv) {
   std::printf("%-48s %9s %9s %9s\n", "Variant", "MAE(K)", "RMSE(K)",
               "char(s)");
   std::fflush(stdout);
+  int failed = 0;
   for (const auto& variant : variants) {
     try {
       thermal::ThermalCharacterizer charac(stack, variant.config);
@@ -147,8 +149,9 @@ int main(int argc, char** argv) {
                   m.rmse, charac.report().total_seconds);
     } catch (const std::exception& e) {
       std::printf("%-48s FAILED: %s\n", variant.name.c_str(), e.what());
+      ++failed;
     }
     std::fflush(stdout);
   }
-  return 0;
+  return failed > 0 ? 1 : 0;
 }

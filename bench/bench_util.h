@@ -2,6 +2,7 @@
 // and the method-comparison runner used by Table I and Table III.
 #pragma once
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -19,38 +20,65 @@
 
 namespace rlplan::bench {
 
-/// --name=value integer flag (returns fallback when absent).
-inline long flag_int(int argc, char** argv, const char* name, long fallback) {
+/// Usage line printed after a malformed numeric flag (none by default).
+inline const char*& usage_line() {
+  static const char* line = nullptr;
+  return line;
+}
+inline void set_usage(const char* line) { usage_line() = line; }
+
+/// Value of --name=value, or nullptr when the flag is absent.
+inline const char* flag_value(int argc, char** argv, const char* name) {
   const std::string prefix = std::string("--") + name + "=";
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      return std::atol(argv[i] + prefix.size());
+      return argv[i] + prefix.size();
     }
   }
-  return fallback;
+  return nullptr;
 }
 
+/// Exits with status 2 after naming the flag whose value did not parse.
+[[noreturn]] inline void reject_flag(const char* name, const char* value,
+                                     const char* expected) {
+  std::fprintf(stderr, "error: --%s=%s is not %s\n", name, value, expected);
+  if (usage_line() != nullptr) std::fprintf(stderr, "%s\n", usage_line());
+  std::exit(2);
+}
+
+/// --name=value integer flag (returns fallback when absent). A value that
+/// is not a whole base-10 integer in range exits via reject_flag().
+inline long flag_int(int argc, char** argv, const char* name, long fallback) {
+  const char* value = flag_value(argc, argv, name);
+  if (value == nullptr) return fallback;
+  char* end = nullptr;
+  errno = 0;
+  const long v = std::strtol(value, &end, 10);
+  if (end == value || *end != '\0' || errno == ERANGE) {
+    reject_flag(name, value, "an integer");
+  }
+  return v;
+}
+
+/// --name=value floating-point flag, parsed as strictly as flag_int().
 inline double flag_double(int argc, char** argv, const char* name,
                           double fallback) {
-  const std::string prefix = std::string("--") + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      return std::atof(argv[i] + prefix.size());
-    }
+  const char* value = flag_value(argc, argv, name);
+  if (value == nullptr) return fallback;
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(value, &end);
+  if (end == value || *end != '\0' || errno == ERANGE) {
+    reject_flag(name, value, "a number");
   }
-  return fallback;
+  return v;
 }
 
 /// --name=value string flag (returns fallback when absent).
 inline std::string flag_str(int argc, char** argv, const char* name,
                             const std::string& fallback) {
-  const std::string prefix = std::string("--") + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      return std::string(argv[i] + prefix.size());
-    }
-  }
-  return fallback;
+  const char* value = flag_value(argc, argv, name);
+  return value != nullptr ? std::string(value) : fallback;
 }
 
 inline bool flag_present(int argc, char** argv, const char* name) {

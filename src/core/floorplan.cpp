@@ -35,10 +35,7 @@ Rect Floorplan::rect_of(std::size_t i) const {
 }
 
 Rect Floorplan::rect_for(std::size_t i, Point lower_left, bool rotated) const {
-  const Chiplet& c = system_->chiplet(i);
-  const double w = rotated ? c.height : c.width;
-  const double h = rotated ? c.width : c.height;
-  return {lower_left.x, lower_left.y, w, h};
+  return footprint(system_->chiplet(i), {lower_left, rotated});
 }
 
 bool Floorplan::can_place(std::size_t i, Point lower_left, bool rotated,

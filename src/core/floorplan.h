@@ -22,6 +22,13 @@ struct Placement {
   bool operator==(const Placement& o) const = default;
 };
 
+/// Footprint of `chip` at placement `p`: anchored at p.position, width and
+/// height swapped when rotated.
+inline Rect footprint(const Chiplet& chip, const Placement& p) {
+  return {p.position.x, p.position.y, p.rotated ? chip.height : chip.width,
+          p.rotated ? chip.width : chip.height};
+}
+
 class Floorplan {
  public:
   /// `system` must outlive the floorplan *at a stable address* (the

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 
 namespace rlplan {
 
@@ -94,5 +95,90 @@ inline double rect_gap(const Rect& a, const Rect& b) {
 inline double center_distance(const Rect& a, const Rect& b) {
   return euclidean(a.center(), b.center());
 }
+
+/// One grid cell, by row (y) and column (x).
+struct GridCell {
+  std::size_t row = 0;
+  std::size_t col = 0;
+};
+
+/// Half-open cell range [row0, row1) x [col0, col1).
+struct CellWindow {
+  std::size_t row0 = 0;
+  std::size_t row1 = 0;
+  std::size_t col0 = 0;
+  std::size_t col1 = 0;
+};
+
+/// rows x cols equal cells tiling [0, width] x [0, height] (mm): the one rule
+/// that maps a rectangle onto grid cells. The thermal grid model, its peak
+/// readout, the characterizer and the RL observation all raster through it.
+class UniformGrid {
+ public:
+  UniformGrid(double width, double height, std::size_t rows, std::size_t cols)
+      : rows_(rows),
+        cols_(cols),
+        cell_w_(width / static_cast<double>(cols)),
+        cell_h_(height / static_cast<double>(rows)) {}
+
+  std::size_t rows() const { return rows_; }
+  std::size_t cols() const { return cols_; }
+  double cell_w() const { return cell_w_; }
+  double cell_h() const { return cell_h_; }
+
+  Rect cell(std::size_t row, std::size_t col) const {
+    return {static_cast<double>(col) * cell_w_,
+            static_cast<double>(row) * cell_h_, cell_w_, cell_h_};
+  }
+  Point cell_center(std::size_t row, std::size_t col) const {
+    return {(static_cast<double>(col) + 0.5) * cell_w_,
+            (static_cast<double>(row) + 0.5) * cell_h_};
+  }
+
+  /// The cell containing `p`, clamped onto the grid.
+  GridCell cell_of(const Point& p) const {
+    return {static_cast<std::size_t>(std::clamp(
+                std::floor(p.y / cell_h_), 0.0, double(rows_ - 1))),
+            static_cast<std::size_t>(std::clamp(
+                std::floor(p.x / cell_w_), 0.0, double(cols_ - 1)))};
+  }
+
+  /// Every cell `r` can cover lies in this window (it may also hold cells
+  /// `r` only touches, and is empty when `r` lies left of or below the grid).
+  CellWindow window(const Rect& r) const {
+    const GridCell lo = cell_of(r.origin());
+    return {lo.row,
+            static_cast<std::size_t>(std::clamp(std::ceil(r.top() / cell_h_),
+                                                0.0, double(rows_))),
+            lo.col,
+            static_cast<std::size_t>(std::clamp(std::ceil(r.right() / cell_w_),
+                                                0.0, double(cols_)))};
+  }
+
+  /// Fraction of cell (row, col) covered by `r`, in [0, 1].
+  double coverage(std::size_t row, std::size_t col, const Rect& r) const {
+    const Rect c = cell(row, col);
+    return c.intersection_area(r) / c.area();
+  }
+
+  /// Calls f(row, col, coverage) for every cell `r` covers (coverage > 0),
+  /// row-major.
+  template <typename F>
+  void for_each_covered(const Rect& r, F&& f) const {
+    const CellWindow w = window(r);
+    for (std::size_t row = w.row0; row < w.row1; ++row) {
+      for (std::size_t col = w.col0; col < w.col1; ++col) {
+        const double c = coverage(row, col, r);
+        if (c > 0.0) f(row, col, c);
+      }
+    }
+  }
+
+ private:
+  std::size_t rows_;
+  std::size_t cols_;
+  double cell_w_;
+  double cell_h_;
+};
 
 }  // namespace rlplan

@@ -53,10 +53,12 @@ struct TraceRing {
   std::atomic<std::uint64_t> head{0};
 };
 
+// Per-thread ring capacity in events (~3 MB per recording thread).
+constexpr std::size_t kRingCapacity = 1 << 16;
+
 struct TraceState {
   std::mutex mutex;
   std::vector<std::unique_ptr<TraceRing>> rings;
-  std::size_t ring_capacity = 1 << 16;
   std::chrono::steady_clock::time_point epoch =
       std::chrono::steady_clock::now();
 };
@@ -73,7 +75,7 @@ TraceRing& local_ring() {
     TraceState& s = state();
     std::lock_guard<std::mutex> lock(s.mutex);
     const int tid = static_cast<int>(s.rings.size()) + 1;
-    s.rings.push_back(std::make_unique<TraceRing>(s.ring_capacity, tid));
+    s.rings.push_back(std::make_unique<TraceRing>(kRingCapacity, tid));
     cached = s.rings.back().get();
   }
   return *cached;
@@ -204,12 +206,6 @@ void reset_trace() {
     }
     ring->head.store(0, std::memory_order_release);
   }
-}
-
-void set_trace_ring_capacity(std::size_t events) {
-  TraceState& s = state();
-  std::lock_guard<std::mutex> lock(s.mutex);
-  s.ring_capacity = std::max<std::size_t>(events, 16);
 }
 
 util::JsonValue chrome_trace_json() {

@@ -99,12 +99,8 @@ struct TraceStats {
 };
 TraceStats trace_stats();
 
-/// Drops all buffered events (ring capacity and thread registrations stay).
+/// Drops all buffered events (thread registrations stay).
 void reset_trace();
-
-/// Per-thread ring capacity in events; applies to rings created afterwards.
-/// Default 65536 (~3 MB/thread).
-void set_trace_ring_capacity(std::size_t events);
 
 /// {"traceEvents": [...]} with "X" (complete) events — load in
 /// chrome://tracing or https://ui.perfetto.dev. Events carry pid 1 and a

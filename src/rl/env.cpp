@@ -1,7 +1,6 @@
 #include "rl/env.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace rlplan::rl {
@@ -156,37 +155,24 @@ void FloorplanEnv::rebuild_mask() {
 void FloorplanEnv::rebuild_observation() {
   const std::size_t g = config_.grid;
   observation_.fill(0.0f);
-  const double cw = system_->interposer_width() / static_cast<double>(g);
-  const double ch = system_->interposer_height() / static_cast<double>(g);
+  const UniformGrid grid(system_->interposer_width(),
+                         system_->interposer_height(), g, g);
 
   // Channels 0/1: occupancy and normalized power density of placed dies.
   for (std::size_t i = 0; i < system_->num_chiplets(); ++i) {
     if (!floorplan_.is_placed(i)) continue;
-    const Rect r = floorplan_.rect_of(i);
     const double density =
         system_->chiplet(i).power_density() / max_power_density_;
-    const auto c0 = static_cast<std::size_t>(
-        std::clamp(std::floor(r.x / cw), 0.0, static_cast<double>(g - 1)));
-    const auto c1 = static_cast<std::size_t>(
-        std::clamp(std::ceil(r.right() / cw), 0.0, static_cast<double>(g)));
-    const auto r0 = static_cast<std::size_t>(
-        std::clamp(std::floor(r.y / ch), 0.0, static_cast<double>(g - 1)));
-    const auto r1 = static_cast<std::size_t>(
-        std::clamp(std::ceil(r.top() / ch), 0.0, static_cast<double>(g)));
-    for (std::size_t row = r0; row < r1; ++row) {
-      for (std::size_t col = c0; col < c1; ++col) {
-        const Rect cell{static_cast<double>(col) * cw,
-                        static_cast<double>(row) * ch, cw, ch};
-        const auto f = static_cast<float>(
-            cell.intersection_area(r) / cell.area());
-        if (f <= 0.0f) continue;
-        observation_.at(0, row, col) =
-            std::min(1.0f, observation_.at(0, row, col) + f);
-        observation_.at(1, row, col) = std::min(
-            1.0f, observation_.at(1, row, col) +
-                      f * static_cast<float>(density));
-      }
-    }
+    grid.for_each_covered(
+        floorplan_.rect_of(i),
+        [&](std::size_t row, std::size_t col, double coverage) {
+          const auto f = static_cast<float>(coverage);
+          observation_.at(0, row, col) =
+              std::min(1.0f, observation_.at(0, row, col) + f);
+          observation_.at(1, row, col) = std::min(
+              1.0f, observation_.at(1, row, col) +
+                        f * static_cast<float>(density));
+        });
   }
 
   // Channel 2: feasibility of the current chiplet. Channels 3-5: scalars.

@@ -41,11 +41,9 @@ namespace {
 // installed and never changed afterwards). g_signal_token keeps the flag's
 // storage alive for the rest of the process.
 std::atomic<std::atomic<bool>*> g_signal_flag{nullptr};
-std::atomic<int> g_signal_number{0};
 CancelToken g_signal_token;
 
 extern "C" void robust_signal_handler(int signum) {
-  g_signal_number.store(signum, std::memory_order_relaxed);
   std::atomic<bool>* flag = g_signal_flag.load(std::memory_order_relaxed);
   if (flag == nullptr || flag->exchange(true, std::memory_order_relaxed)) {
     // Second signal (or no token): restore default disposition and re-raise,
@@ -63,10 +61,6 @@ bool install_signal_cancel(const CancelToken& token) {
   std::signal(SIGINT, robust_signal_handler);
   std::signal(SIGTERM, robust_signal_handler);
   return true;
-}
-
-int last_cancel_signal() {
-  return g_signal_number.load(std::memory_order_relaxed);
 }
 
 namespace detail {

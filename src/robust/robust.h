@@ -183,10 +183,6 @@ struct RunControl {
 /// can still be killed with a repeated Ctrl-C.
 bool install_signal_cancel(const CancelToken& token);
 
-/// Signal number that triggered cancellation via install_signal_cancel()
-/// (0 if none yet).
-int last_cancel_signal();
-
 // ----------------------------------------------------------------------- retry
 
 struct RetryOptions {

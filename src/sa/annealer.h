@@ -27,7 +27,8 @@ namespace rlplan::sa {
 
 struct AnnealOptions {
   /// Initial temperature; <= 0 requests auto-calibration from the first
-  /// `calibration_samples` accepted proposals (T0 = mean |delta cost|).
+  /// `calibration_samples` accepted proposals (T0 = mean |delta cost|),
+  /// fewer when max_evaluations runs out first.
   double t_initial = -1.0;
   int calibration_samples = 20;
   double t_final = 1e-4;
@@ -111,7 +112,8 @@ State anneal(State initial, const BatchCost<State>& score,
     double delta_sum = 0.0;
     int samples = 0;
     for (int i = 0; i < options.calibration_samples * 4 &&
-                    samples < options.calibration_samples;
+                    samples < options.calibration_samples &&
+                    stats.evaluations < options.max_evaluations;
          ++i) {
       if (controlled && options.control.stop_requested()) break;
       auto cand = propose(current, rng);

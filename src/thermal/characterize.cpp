@@ -119,6 +119,24 @@ FastThermalModel ThermalCharacterizer::characterize(
   return model;
 }
 
+ThermalResult ThermalCharacterizer::probe_solve(double iw, double ih,
+                                                double w, double h,
+                                                Point lower_left,
+                                                std::size_t& solves,
+                                                ThermalField* field) {
+  check_control(config_.control);
+  const ChipletSystem probe(
+      "probe", iw, ih, {Chiplet{"probe", w, h, config_.reference_power_w}},
+      {});
+  probe.validate();
+  Floorplan fp(probe);
+  fp.place(0, lower_left);
+  GridThermalSolver solver(*stack_, config_.solver);
+  ++solves;
+  return field != nullptr ? solver.solve_with_field(probe, fp, *field)
+                          : solver.solve(probe, fp);
+}
+
 BilinearTable2D ThermalCharacterizer::build_position_correction(
     double iw, double ih,
     const std::function<void(std::size_t, std::size_t)>& progress,
@@ -128,15 +146,10 @@ BilinearTable2D ThermalCharacterizer::build_position_correction(
 
   // Centered reference rise (the table's denominator).
   const auto solve_at = [&](double cx, double cy) {
-    check_control(config_.control);
-    const ChipletSystem probe(
-        "position-probe", iw, ih,
-        {Chiplet{"ref", s, s, config_.reference_power_w}}, {});
-    Floorplan fp(probe);
-    fp.place(0, {cx - s / 2.0, cy - s / 2.0});
-    GridThermalSolver solver(*stack_, config_.solver);
-    ++report_.position_solves;
-    return solver.solve(probe, fp).max_temp_c - stack_->ambient_c();
+    return probe_solve(iw, ih, s, s, {cx - s / 2.0, cy - s / 2.0},
+                       report_.position_solves)
+               .max_temp_c -
+           stack_->ambient_c();
   };
   const double center_rise = solve_at(iw / 2.0, ih / 2.0);
 
@@ -165,48 +178,34 @@ SelfResistanceTable ThermalCharacterizer::build_self_table(
   std::vector<std::vector<double>> droops(
       widths.size(), std::vector<double>(heights.size(), 1.0));
 
+  const UniformGrid grid(iw, ih, config_.solver.dims.rows,
+                         config_.solver.dims.cols);
+  const std::size_t layer = stack_->chiplet_layer_index();
   std::size_t done = probes_done;
   for (std::size_t i = 0; i < widths.size(); ++i) {
     for (std::size_t j = 0; j < heights.size(); ++j) {
-      check_control(config_.control);
       const double w = widths[i];
       const double h = heights[j];
-      const ChipletSystem probe(
-          "self-probe", iw, ih,
-          {Chiplet{"probe", w, h, config_.reference_power_w}}, {});
-      probe.validate();
-      Floorplan fp(probe);
       const Rect r{(iw - w) / 2.0, (ih - h) / 2.0, w, h};
-      fp.place(0, r.origin());
-
-      GridThermalSolver solver(*stack_, config_.solver);
       ThermalField field;
-      const ThermalResult result = solver.solve_with_field(probe, fp, field);
+      const ThermalResult result =
+          probe_solve(iw, ih, w, h, r.origin(), report_.self_solves, &field);
       const double peak_rise = result.max_temp_c - stack_->ambient_c();
       values[i][j] = peak_rise / config_.reference_power_w;
 
       // Within-die droop: rise at the die corners relative to the peak.
-      const std::size_t layer = stack_->chiplet_layer_index();
-      ThermalGridModel model(*stack_, probe, config_.solver.dims);
       double corner_rise = 0.0;
-      const GridDims dims = config_.solver.dims;
-      const double cw = iw / static_cast<double>(dims.cols);
-      const double ch = ih / static_cast<double>(dims.rows);
       for (const Point corner :
            {Point{r.x, r.y}, Point{r.right(), r.y}, Point{r.x, r.top()},
             Point{r.right(), r.top()}}) {
-        const auto col = static_cast<std::size_t>(std::clamp(
-            std::floor(corner.x / cw), 0.0, double(dims.cols - 1)));
-        const auto row = static_cast<std::size_t>(std::clamp(
-            std::floor(corner.y / ch), 0.0, double(dims.rows - 1)));
+        const GridCell c = grid.cell_of(corner);
         corner_rise = std::max(
-            corner_rise, field.at(layer, row, col) - stack_->ambient_c());
+            corner_rise, field.at(layer, c.row, c.col) - stack_->ambient_c());
       }
       droops[i][j] =
           peak_rise > 0.0 ? std::clamp(corner_rise / peak_rise, 0.0, 1.0)
                           : 1.0;
 
-      ++report_.self_solves;
       if (progress) progress(++done, total_probes);
     }
   }
@@ -218,13 +217,17 @@ MutualResistanceTable ThermalCharacterizer::build_mutual_table(double iw,
                                                                double ih) {
   const double s = config_.mutual_source_mm;
   const GridDims dims = config_.solver.dims;
-  const double cw = iw / static_cast<double>(dims.cols);
-  const double ch = ih / static_cast<double>(dims.rows);
-  const double bin =
-      config_.mutual_bin_mm > 0.0 ? config_.mutual_bin_mm : std::max(cw, ch);
+  const UniformGrid grid(iw, ih, dims.rows, dims.cols);
+  const double bin = config_.mutual_bin_mm > 0.0
+                         ? config_.mutual_bin_mm
+                         : std::max(grid.cell_w(), grid.cell_h());
   const double max_dist = std::hypot(iw, ih);
   const auto num_bins =
       static_cast<std::size_t>(std::ceil(max_dist / bin)) + 1;
+  const auto bin_of = [&](const Point& p, const Point& src) {
+    return std::min(static_cast<std::size_t>(euclidean(p, src) / bin),
+                    num_bins - 1);
+  };
 
   // Source positions: interposer center, plus quadrant offsets that fold
   // boundary effects into the distance average.
@@ -241,27 +244,14 @@ MutualResistanceTable ThermalCharacterizer::build_mutual_table(double iw,
   const std::size_t layer = stack_->chiplet_layer_index();
 
   for (const Point& src : sources) {
-    check_control(config_.control);
-    const ChipletSystem probe(
-        "mutual-probe", iw, ih,
-        {Chiplet{"source", s, s, config_.reference_power_w}}, {});
-    probe.validate();
-    Floorplan fp(probe);
-    fp.place(0, {src.x - s / 2.0, src.y - s / 2.0});
-
-    GridThermalSolver solver(*stack_, config_.solver);
     ThermalField field;
-    solver.solve_with_field(probe, fp, field);
-    ++report_.mutual_solves;
+    probe_solve(iw, ih, s, s, {src.x - s / 2.0, src.y - s / 2.0},
+                report_.mutual_solves, &field);
 
     // Bin the chiplet-layer rise-per-watt by distance from the source.
-    ThermalGridModel model(*stack_, probe, dims);
     for (std::size_t r = 0; r < dims.rows; ++r) {
       for (std::size_t c = 0; c < dims.cols; ++c) {
-        const Point p = model.cell_center_mm(r, c);
-        const double d = euclidean(p, src);
-        const auto b =
-            std::min(static_cast<std::size_t>(d / bin), num_bins - 1);
+        const auto b = bin_of(grid.cell_center(r, c), src);
         sums[b] += (field.at(layer, r, c) - stack_->ambient_c()) /
                    config_.reference_power_w;
         ++counts[b];
@@ -291,7 +281,6 @@ MutualResistanceTable ThermalCharacterizer::build_mutual_table(double iw,
   if (config_.kernel_deconvolution_iters > 0 && sources.size() == 1 &&
       config_.model_config.use_images) {
     const Point src = sources.front();
-    const double refl = config_.model_config.image_reflectivity;
     double floor = values.front();
     for (double v : values) floor = std::min(floor, v);
 
@@ -309,29 +298,24 @@ MutualResistanceTable ThermalCharacterizer::build_mutual_table(double iw,
       return (1.0 - t) * g[seg] + t * g[seg + 1];
     };
 
-    const double mx[2] = {-src.x, 2.0 * iw - src.x};
-    const double my[2] = {-src.y, 2.0 * ih - src.y};
-    const ChipletSystem probe_geom("geom", iw, ih,
-                                   {Chiplet{"x", 1.0, 1.0, 0.0}}, {});
-    ThermalGridModel model(*stack_, probe_geom, dims);
+    // The source's mirror images; the source itself (index 0) is the
+    // measured term, not contamination.
+    double img_x[kMirrorImages];
+    double img_y[kMirrorImages];
+    mirror_images(src, iw, ih, img_x, img_y);
+    const auto img_w =
+        mirror_weights(config_.model_config.image_reflectivity);
     for (int iter = 0; iter < config_.kernel_deconvolution_iters; ++iter) {
       // Predicted image contamination, annulus-averaged like the raw data.
       std::vector<double> img_sums(num_bins, 0.0);
       for (std::size_t r = 0; r < dims.rows; ++r) {
         for (std::size_t c = 0; c < dims.cols; ++c) {
-          const Point p = model.cell_center_mm(r, c);
-          const auto b = std::min(
-              static_cast<std::size_t>(euclidean(p, src) / bin),
-              num_bins - 1);
+          const Point p = grid.cell_center(r, c);
           double img = 0.0;
-          for (double ix : mx) img += refl * lookup_g(euclidean({ix, src.y}, p));
-          for (double iy : my) img += refl * lookup_g(euclidean({src.x, iy}, p));
-          for (double ix : mx) {
-            for (double iy : my) {
-              img += refl * refl * lookup_g(euclidean({ix, iy}, p));
-            }
+          for (std::size_t t = 1; t < kMirrorImages; ++t) {
+            img += img_w[t] * lookup_g(euclidean({img_x[t], img_y[t]}, p));
           }
-          img_sums[b] += img;
+          img_sums[bin_of(p, src)] += img;
         }
       }
       for (std::size_t k = 0; k < values.size(); ++k) {

@@ -101,6 +101,14 @@ class ThermalCharacterizer {
       const std::function<void(std::size_t, std::size_t)>& progress,
       std::size_t total_probes, std::size_t probes_done);
   MutualResistanceTable build_mutual_table(double iw, double ih);
+  /// One probe solve: a lone w x h die at `lower_left` on an iw x ih
+  /// interposer dissipating the reference power, on a fresh cold
+  /// GridThermalSolver (a warm start would make each table depend on the
+  /// sweep order). Polls config_.control first, fills `field` when given,
+  /// and counts the solve in `solves`.
+  ThermalResult probe_solve(double iw, double ih, double w, double h,
+                            Point lower_left, std::size_t& solves,
+                            ThermalField* field = nullptr);
   BilinearTable2D build_position_correction(
       double iw, double ih,
       const std::function<void(std::size_t, std::size_t)>& progress,

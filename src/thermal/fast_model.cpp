@@ -5,7 +5,6 @@
 #include <fstream>
 #include <stdexcept>
 
-
 namespace rlplan::thermal {
 
 FastThermalModel::FastThermalModel(SelfResistanceTable self_table,
@@ -28,6 +27,19 @@ FastThermalModel::FastThermalModel(SelfResistanceTable self_table,
   if (!mutual_table_.empty() && !mutual_table_.is_uniform()) {
     mutual_table_ = mutual_table_.resampled_uniform();
   }
+  set_image_params(package_w_mm_, package_h_mm_, uniform_floor_);
+}
+
+void FastThermalModel::set_image_params(double package_w_mm,
+                                        double package_h_mm,
+                                        double uniform_floor_k_per_w) {
+  package_w_mm_ = package_w_mm;
+  package_h_mm_ = package_h_mm;
+  uniform_floor_ = uniform_floor_k_per_w;
+  if (config_.use_images && !mutual_table_.empty()) {
+    center_image_excess_ =
+        image_excess({package_w_mm_ / 2.0, package_h_mm_ / 2.0});
+  }
 }
 
 double FastThermalModel::decay_kernel(double distance_mm) const {
@@ -36,30 +48,21 @@ double FastThermalModel::decay_kernel(double distance_mm) const {
 
 double FastThermalModel::image_kernel(const Point& src,
                                       const Point& probe) const {
-  // Direct term plus first-order reflections: 4 side mirrors and 4 corner
-  // double-mirrors of the source about the package edges. The convective
-  // boundary is not a perfect adiabatic mirror, so reflections are damped.
-  const double kReflectivity = config_.image_reflectivity;
-  const double w = package_w_mm_;
-  const double h = package_h_mm_;
-  double k = decay_kernel(kernel_distance(src.x - probe.x, src.y - probe.y));
-  const double mx[2] = {-src.x, 2.0 * w - src.x};        // mirror in x
-  const double my[2] = {-src.y, 2.0 * h - src.y};        // mirror in y
-  for (double ix : mx) {
-    k += kReflectivity *
-         decay_kernel(kernel_distance(ix - probe.x, src.y - probe.y));
-  }
-  for (double iy : my) {
-    k += kReflectivity *
-         decay_kernel(kernel_distance(src.x - probe.x, iy - probe.y));
-  }
-  for (double ix : mx) {
-    for (double iy : my) {
-      k += kReflectivity * kReflectivity *
-           decay_kernel(kernel_distance(ix - probe.x, iy - probe.y));
-    }
+  // Direct term plus first-order reflections, weighted by the reflectivity
+  // (the convective boundary is not a perfect adiabatic mirror).
+  double xs[kMirrorImages];
+  double ys[kMirrorImages];
+  mirror_images(src, package_w_mm_, package_h_mm_, xs, ys);
+  const auto w = mirror_weights(config_.image_reflectivity);
+  double k = decay_kernel(kernel_distance(xs[0] - probe.x, ys[0] - probe.y));
+  for (std::size_t t = 1; t < kMirrorImages; ++t) {
+    k += w[t] * decay_kernel(kernel_distance(xs[t] - probe.x, ys[t] - probe.y));
   }
   return uniform_floor_ + k;
+}
+
+double FastThermalModel::image_excess(const Point& c) const {
+  return image_kernel(c, c) - decay_kernel(0.0) - uniform_floor_;
 }
 
 int FastThermalModel::probe_count() const {
@@ -119,12 +122,7 @@ double FastThermalModel::self_rise(const Chiplet& chip,
     // The centered characterization already contains the (negligible)
     // center-position images, so only the *excess* relative to the
     // centered position is added.
-    const Point cc{package_w_mm_ / 2.0, package_h_mm_ / 2.0};
-    const double self_images =
-        image_kernel(ci, ci) - decay_kernel(0.0) - uniform_floor_;
-    const double center_images =
-        image_kernel(cc, cc) - decay_kernel(0.0) - uniform_floor_;
-    r_self += self_images - center_images;
+    r_self += image_excess(ci) - center_image_excess_;
   } else if (!position_correction_.empty()) {
     r_self *= position_correction_.lookup(ci.x, ci.y);
   }

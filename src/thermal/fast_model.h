@@ -16,6 +16,8 @@
 // assume. Table II quantifies exactly this error.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstddef>
 #include <span>
@@ -37,6 +39,33 @@ namespace rlplan::thermal {
 /// 1 ulp, far below the thermal model's accuracy.
 inline double kernel_distance(double dx, double dy) {
   return std::sqrt(dx * dx + dy * dy);
+}
+
+/// Points per source in the method-of-images expansion.
+inline constexpr std::size_t kMirrorImages = 9;
+
+/// The method-of-images geometry of source `s` in a pkg_w x pkg_h mm package:
+/// writes kMirrorImages coordinate pairs to xs/ys — the point itself, its
+/// side mirrors about x = 0, x = pkg_w, y = 0, y = pkg_h, then the corner
+/// double-mirrors (x mirror outer, y mirror inner).
+inline void mirror_images(const Point& s, double pkg_w, double pkg_h,
+                          double* xs, double* ys) {
+  const double mx0 = -s.x;
+  const double mx1 = 2.0 * pkg_w - s.x;
+  const double my0 = -s.y;
+  const double my1 = 2.0 * pkg_h - s.y;
+  const double img_x[kMirrorImages] = {s.x, mx0, mx1, s.x, s.x,
+                                       mx0, mx0, mx1, mx1};
+  const double img_y[kMirrorImages] = {s.y, s.y, s.y, my0, my1,
+                                       my0, my1, my0, my1};
+  std::copy(img_x, img_x + kMirrorImages, xs);
+  std::copy(img_y, img_y + kMirrorImages, ys);
+}
+
+/// Per-image weights in mirror_images() order for reflectivity r: 1 for the
+/// source, r per side mirror, r * r per corner double-mirror.
+inline std::array<double, kMirrorImages> mirror_weights(double r) {
+  return {1.0, r, r, r, r, r * r, r * r, r * r, r * r};
 }
 
 struct FastModelConfig {
@@ -113,11 +142,7 @@ class FastThermalModel {
   /// package extent in mm and the uniform rise floor in K/W that the
   /// decaying kernel sits on.
   void set_image_params(double package_w_mm, double package_h_mm,
-                        double uniform_floor_k_per_w) {
-    package_w_mm_ = package_w_mm;
-    package_h_mm_ = package_h_mm;
-    uniform_floor_ = uniform_floor_k_per_w;
-  }
+                        double uniform_floor_k_per_w);
   double uniform_floor() const { return uniform_floor_; }
   double package_w_mm() const { return package_w_mm_; }
   double package_h_mm() const { return package_h_mm_; }
@@ -170,9 +195,12 @@ class FastThermalModel {
  private:
   /// Decaying kernel: table value minus the uniform floor, clamped >= 0.
   double decay_kernel(double distance_mm) const;
-  /// Kernel evaluated source -> probe including first-order mirror images
+  /// Kernel evaluated source -> probe including the mirror_images() terms
   /// (the self term's boundary correction).
   double image_kernel(const Point& src, const Point& probe) const;
+  /// Self-image excess of a die centered at `c`: its mirror-image terms
+  /// without the direct term and the floor.
+  double image_excess(const Point& c) const;
 
   SelfResistanceTable self_table_;
   MutualResistanceTable mutual_table_;
@@ -183,6 +211,9 @@ class FastThermalModel {
   double package_h_mm_ = 0.0;
   double uniform_floor_ = 0.0;  // K/W
   FastModelConfig config_{};
+  /// image_excess() at the package center, the self term's reference; set
+  /// with the image parameters.
+  double center_image_excess_ = 0.0;
 };
 
 }  // namespace rlplan::thermal

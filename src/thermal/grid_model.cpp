@@ -1,8 +1,6 @@
 #include "thermal/grid_model.h"
 
 #include <algorithm>
-#include <cassert>
-#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -14,7 +12,11 @@ constexpr double kMmToM = 1e-3;
 
 ThermalGridModel::ThermalGridModel(const LayerStack& stack,
                                    const ChipletSystem& system, GridDims dims)
-    : stack_(&stack), system_(&system), dims_(dims) {
+    : stack_(&stack),
+      system_(&system),
+      dims_(dims),
+      grid_(system.interposer_width(), system.interposer_height(), dims.rows,
+            dims.cols) {
   stack.validate();
   if (dims_.rows < 2 || dims_.cols < 2) {
     throw std::invalid_argument("ThermalGridModel: grid must be >= 2x2");
@@ -24,25 +26,6 @@ ThermalGridModel::ThermalGridModel(const LayerStack& stack,
   cell_area_ = dx_ * dy_;
 }
 
-Point ThermalGridModel::cell_center_mm(std::size_t row,
-                                       std::size_t col) const {
-  const double cw = system_->interposer_width() / static_cast<double>(dims_.cols);
-  const double ch =
-      system_->interposer_height() / static_cast<double>(dims_.rows);
-  return {(static_cast<double>(col) + 0.5) * cw,
-          (static_cast<double>(row) + 0.5) * ch};
-}
-
-double ThermalGridModel::coverage_fraction(std::size_t row, std::size_t col,
-                                           const Rect& footprint_mm) const {
-  const double cw = system_->interposer_width() / static_cast<double>(dims_.cols);
-  const double ch =
-      system_->interposer_height() / static_cast<double>(dims_.rows);
-  const Rect cell{static_cast<double>(col) * cw, static_cast<double>(row) * ch,
-                  cw, ch};
-  return cell.intersection_area(footprint_mm) / cell.area();
-}
-
 std::vector<double> ThermalGridModel::chiplet_layer_conductivity(
     const Floorplan& floorplan) const {
   const double k_die = stack_->layer(stack_->chiplet_layer_index())
@@ -50,31 +33,15 @@ std::vector<double> ThermalGridModel::chiplet_layer_conductivity(
   const double k_fill = stack_->fill_material().conductivity;
   std::vector<double> k(dims_.cells(), k_fill);
 
-  const double cw = system_->interposer_width() / static_cast<double>(dims_.cols);
-  const double ch =
-      system_->interposer_height() / static_cast<double>(dims_.rows);
-
   for (std::size_t i = 0; i < system_->num_chiplets(); ++i) {
     if (!floorplan.is_placed(i)) continue;
-    const Rect r = floorplan.rect_of(i);
-    const auto c0 = static_cast<std::size_t>(
-        std::clamp(std::floor(r.x / cw), 0.0, double(dims_.cols - 1)));
-    const auto c1 = static_cast<std::size_t>(std::clamp(
-        std::ceil(r.right() / cw), 0.0, double(dims_.cols)));
-    const auto r0 = static_cast<std::size_t>(
-        std::clamp(std::floor(r.y / ch), 0.0, double(dims_.rows - 1)));
-    const auto r1 = static_cast<std::size_t>(std::clamp(
-        std::ceil(r.top() / ch), 0.0, double(dims_.rows)));
-    for (std::size_t row = r0; row < r1; ++row) {
-      for (std::size_t col = c0; col < c1; ++col) {
-        const double f = coverage_fraction(row, col, r);
-        if (f <= 0.0) continue;
-        const std::size_t idx = row * dims_.cols + col;
-        // Blend toward die conductivity; overlapping chiplets (illegal but
-        // representable) saturate at the die value.
-        k[idx] = std::min(k_die, k[idx] + f * (k_die - k_fill));
-      }
-    }
+    grid_.for_each_covered(
+        floorplan.rect_of(i), [&](std::size_t row, std::size_t col, double f) {
+          const std::size_t idx = row * dims_.cols + col;
+          // Blend toward die conductivity; overlapping chiplets (illegal but
+          // representable) saturate at the die value.
+          k[idx] = std::min(k_die, k[idx] + f * (k_die - k_fill));
+        });
   }
   return k;
 }
@@ -150,38 +117,24 @@ std::vector<double> ThermalGridModel::build_power(
     const Floorplan& floorplan) const {
   std::vector<double> p(num_nodes(), 0.0);
   const std::size_t chiplet_layer = stack_->chiplet_layer_index();
-  const double cw = system_->interposer_width() / static_cast<double>(dims_.cols);
-  const double ch =
-      system_->interposer_height() / static_cast<double>(dims_.rows);
+  const double cell_area_mm2 = grid_.cell_w() * grid_.cell_h();
 
+  std::vector<std::pair<std::size_t, double>> contributions;
   for (std::size_t i = 0; i < system_->num_chiplets(); ++i) {
     if (!floorplan.is_placed(i)) continue;
     const Chiplet& chip = system_->chiplet(i);
     if (chip.power <= 0.0) continue;
     const Rect r = floorplan.rect_of(i);
-    const double cell_area_mm2 = cw * ch;
 
-    const auto c0 = static_cast<std::size_t>(
-        std::clamp(std::floor(r.x / cw), 0.0, double(dims_.cols - 1)));
-    const auto c1 = static_cast<std::size_t>(
-        std::clamp(std::ceil(r.right() / cw), 0.0, double(dims_.cols)));
-    const auto r0 = static_cast<std::size_t>(
-        std::clamp(std::floor(r.y / ch), 0.0, double(dims_.rows - 1)));
-    const auto r1 = static_cast<std::size_t>(
-        std::clamp(std::ceil(r.top() / ch), 0.0, double(dims_.rows)));
-
-    std::vector<std::pair<std::size_t, double>> contributions;
+    contributions.clear();
     double injected = 0.0;
-    for (std::size_t row = r0; row < r1; ++row) {
-      for (std::size_t col = c0; col < c1; ++col) {
-        const double f = coverage_fraction(row, col, r);
-        if (f <= 0.0) continue;
-        const double covered_mm2 = f * cell_area_mm2;
-        const double watts = chip.power * covered_mm2 / r.area();
-        contributions.emplace_back(node(chiplet_layer, row, col), watts);
-        injected += watts;
-      }
-    }
+    grid_.for_each_covered(
+        r, [&](std::size_t row, std::size_t col, double f) {
+          const double covered_mm2 = f * cell_area_mm2;
+          const double watts = chip.power * covered_mm2 / r.area();
+          contributions.emplace_back(node(chiplet_layer, row, col), watts);
+          injected += watts;
+        });
     // Clipping at interposer edges can drop a sliver of footprint; rescale so
     // total injected power is exact (conservation matters for accuracy).
     const double scale =

@@ -18,6 +18,7 @@
 
 #include "core/chiplet.h"
 #include "core/floorplan.h"
+#include "core/geometry.h"
 #include "thermal/layer_stack.h"
 #include "thermal/sparse.h"
 
@@ -50,12 +51,8 @@ class ThermalGridModel {
   double dx() const { return dx_; }
   double dy() const { return dy_; }
 
-  /// Geometric center of cell (row, col) in millimetres (floorplan units).
-  Point cell_center_mm(std::size_t row, std::size_t col) const;
-
-  /// Fraction of cell (row, col) covered by `footprint` (mm rect), in [0,1].
-  double coverage_fraction(std::size_t row, std::size_t col,
-                           const Rect& footprint_mm) const;
+  /// The cell raster over the interposer in millimetres (floorplan units).
+  const UniformGrid& grid() const { return grid_; }
 
   /// Builds the finalized conductance matrix for the given placement.
   /// Unplaced chiplets contribute neither conductivity nor power.
@@ -74,6 +71,7 @@ class ThermalGridModel {
   const LayerStack* stack_;
   const ChipletSystem* system_;
   GridDims dims_;
+  UniformGrid grid_;
   double dx_ = 0.0;  // m
   double dy_ = 0.0;  // m
   double cell_area_ = 0.0;  // m^2

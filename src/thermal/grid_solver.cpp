@@ -1,7 +1,6 @@
 #include "thermal/grid_solver.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "obs/metrics.h"
 #include "robust/fault.h"
@@ -13,14 +12,6 @@ namespace rlplan::thermal {
 ThermalField::ThermalField(std::size_t layers, GridDims dims,
                            std::vector<double> temps_c)
     : layers_(layers), dims_(dims), temps_c_(std::move(temps_c)) {}
-
-double ThermalField::layer_max(std::size_t layer) const {
-  double m = temps_c_.at(layer * dims_.cells());
-  for (std::size_t i = 0; i < dims_.cells(); ++i) {
-    m = std::max(m, temps_c_[layer * dims_.cells() + i]);
-  }
-  return m;
-}
 
 GridThermalSolver::GridThermalSolver(const LayerStack& stack,
                                      GridSolverConfig config)
@@ -103,9 +94,8 @@ std::vector<double> chiplet_peak_temps(const ThermalField& field,
                                        const ChipletSystem& system,
                                        const Floorplan& floorplan,
                                        std::size_t chiplet_layer) {
-  const GridDims dims = model.dims();
-  std::vector<double> temps(system.num_chiplets(),
-                            field.raw().empty() ? 0.0 : 0.0);
+  const UniformGrid& grid = model.grid();
+  std::vector<double> temps(system.num_chiplets(), 0.0);
   for (std::size_t i = 0; i < system.num_chiplets(); ++i) {
     if (!floorplan.is_placed(i)) {
       temps[i] = field.at(chiplet_layer, 0, 0);  // ~ambient baseline
@@ -114,25 +104,15 @@ std::vector<double> chiplet_peak_temps(const ThermalField& field,
     const Rect r = floorplan.rect_of(i);
     double peak = -1e300;
     bool found = false;
-    for (std::size_t row = 0; row < dims.rows; ++row) {
-      for (std::size_t col = 0; col < dims.cols; ++col) {
-        if (model.coverage_fraction(row, col, r) < 0.5) continue;
-        peak = std::max(peak, field.at(chiplet_layer, row, col));
-        found = true;
-      }
-    }
+    grid.for_each_covered(r, [&](std::size_t row, std::size_t col, double f) {
+      if (f < 0.5) return;
+      peak = std::max(peak, field.at(chiplet_layer, row, col));
+      found = true;
+    });
     if (!found) {
       // Footprint smaller than one cell: take the cell containing the center.
-      const Point c = r.center();
-      const double cw =
-          system.interposer_width() / static_cast<double>(dims.cols);
-      const double ch =
-          system.interposer_height() / static_cast<double>(dims.rows);
-      const auto col = static_cast<std::size_t>(std::clamp(
-          std::floor(c.x / cw), 0.0, static_cast<double>(dims.cols - 1)));
-      const auto row = static_cast<std::size_t>(std::clamp(
-          std::floor(c.y / ch), 0.0, static_cast<double>(dims.rows - 1)));
-      peak = field.at(chiplet_layer, row, col);
+      const GridCell c = grid.cell_of(r.center());
+      peak = field.at(chiplet_layer, c.row, c.col);
     }
     temps[i] = peak;
   }

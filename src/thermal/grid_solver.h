@@ -31,9 +31,6 @@ class ThermalField {
 
   const std::vector<double>& raw() const { return temps_c_; }
 
-  /// Maximum temperature within one layer.
-  double layer_max(std::size_t layer) const;
-
  private:
   std::size_t layers_ = 0;
   GridDims dims_;

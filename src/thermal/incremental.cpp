@@ -53,30 +53,16 @@ IncrementalThermalState::IncrementalThermalState(const FastThermalModel& model,
   set_simd_level(util::active_simd_level());
 }
 
-Rect IncrementalThermalState::load_geometry(std::size_t i) {
-  const Placement& p = *dies_[i].placement;
+DieTerms IncrementalThermalState::load_geometry(std::size_t i) {
   const Chiplet& chip = system_->chiplet(i);
-  const Rect rect{p.position.x, p.position.y,
-                  p.rotated ? chip.height : chip.width,
-                  p.rotated ? chip.width : chip.height};
-  model_->receiver_probes(rect, probes_scratch_, shapes_scratch_);
-  for (std::size_t q = 0; q < probe_count_; ++q) {
-    probe_x_[i * probe_count_ + q] = probes_scratch_[q].x;
-    probe_y_[i * probe_count_ + q] = probes_scratch_[q].y;
-    shape_[i * probe_count_ + q] = shapes_scratch_[q];
-  }
-  if (power_[i] > 0.0) {
-    model_->source_points(rect, subs_scratch_);
-    const std::size_t pts = k_.ss * k_.img;
-    double* xs = src_x_.data() + i * pts;
-    double* ys = src_y_.data() + i * pts;
-    for (const Point& s : subs_scratch_) {
-      k_.expand_source_point(s, xs, ys);
-      xs += k_.img;
-      ys += k_.img;
-    }
-  }
-  return rect;
+  const std::size_t pc = probe_count_;
+  const std::size_t pts = k_.ss * k_.img;
+  const bool source = power_[i] > 0.0;
+  return loader_.load(*model_, k_, chip, footprint(chip, *dies_[i].placement),
+                      probe_x_.data() + i * pc, probe_y_.data() + i * pc,
+                      shape_.data() + i * pc,
+                      source ? src_x_.data() + i * pts : nullptr,
+                      source ? src_y_.data() + i * pts : nullptr);
 }
 
 void IncrementalThermalState::compute_pair_row(std::size_t receiver,
@@ -163,9 +149,9 @@ void IncrementalThermalState::apply_place(std::size_t i, const Placement& p) {
   }
   if (!die.placement) ++num_placed_;
   die.placement = p;
-  const Rect rect = load_geometry(i);
-  die.self_rise = model_->self_rise(system_->chiplet(i), rect);
-  die.corr = model_->center_correction(rect.center());
+  const DieTerms terms = load_geometry(i);
+  die.self_rise = terms.self_rise;
+  die.corr = terms.corr;
 
   // Refresh the couplings involving die i, in both directions: one
   // kernel-row recompute per direction per placed peer.

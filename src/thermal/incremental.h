@@ -174,9 +174,10 @@ class IncrementalThermalState {
   }
 
   /// Rewrites placed die i's SoA blocks (probe coordinates, self-heating
-  /// shapes, image-expanded sub-source coordinates) from its placement and
-  /// returns its footprint. Cheap — O(probes + ss * img), no kernel math.
-  Rect load_geometry(std::size_t i);
+  /// shapes, image-expanded sub-source coordinates) from its placement
+  /// through the shared SoaDieLoader and returns its self rise and center
+  /// correction. Cheap — O(probes + ss * img), no kernel math.
+  DieTerms load_geometry(std::size_t i);
   /// Computes pair_row(receiver, source) through the kernel table's
   /// pair-row form, scaled exactly as SoaSnapshot scales a sweep subtotal.
   void compute_pair_row(std::size_t receiver, std::size_t source);
@@ -223,9 +224,7 @@ class IncrementalThermalState {
   std::vector<double> src_x_;     // n * ss * img
   std::vector<double> src_y_;     // n * ss * img
   std::vector<double> src_scale_; // n: power / ss (fixed per system)
-  std::vector<Point> probes_scratch_;
-  std::vector<double> shapes_scratch_;
-  std::vector<Point> subs_scratch_;
+  SoaDieLoader loader_;
 
   // Kernel table (never nullptr) and the level it serves.
   const SoaKernelOps* ops_ = nullptr;

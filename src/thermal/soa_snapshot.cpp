@@ -21,11 +21,8 @@ void SoaModelConsts::bind(const FastThermalModel& model) {
   ss = sub * sub;
   use_images = model.config().use_images;
   img = use_images ? 9 : 1;
-  const double r = model.config().image_reflectivity;
-  // Weight per image point: direct, 4 side mirrors, 4 corner
-  // double-mirrors.
-  const double w9[9] = {1.0, r, r, r, r, r * r, r * r, r * r, r * r};
-  std::copy(w9, w9 + 9, img_w);
+  const auto w9 = mirror_weights(model.config().image_reflectivity);
+  std::copy(w9.begin(), w9.end(), img_w);
   floor = model.uniform_floor();
   ambient_c = model.ambient_c();
   pkg_w = model.package_w_mm();
@@ -76,14 +73,30 @@ void SoaModelConsts::expand_source_point(const Point& s, double* xs,
     ys[0] = s.y;
     return;
   }
-  const double mx0 = -s.x;
-  const double mx1 = 2.0 * pkg_w - s.x;
-  const double my0 = -s.y;
-  const double my1 = 2.0 * pkg_h - s.y;
-  const double exp_x[9] = {s.x, mx0, mx1, s.x, s.x, mx0, mx0, mx1, mx1};
-  const double exp_y[9] = {s.y, s.y, s.y, my0, my1, my0, my1, my0, my1};
-  std::copy(exp_x, exp_x + 9, xs);
-  std::copy(exp_y, exp_y + 9, ys);
+  mirror_images(s, pkg_w, pkg_h, xs, ys);
+}
+
+DieTerms SoaDieLoader::load(const FastThermalModel& model,
+                            const SoaModelConsts& k, const Chiplet& chip,
+                            const Rect& footprint, double* probe_x,
+                            double* probe_y, double* shape, double* src_x,
+                            double* src_y) {
+  model.receiver_probes(footprint, probes_, shapes_);
+  for (std::size_t p = 0; p < k.pc; ++p) {
+    probe_x[p] = probes_[p].x;
+    probe_y[p] = probes_[p].y;
+    shape[p] = shapes_[p];
+  }
+  if (src_x != nullptr) {
+    model.source_points(footprint, subs_);
+    for (const Point& s : subs_) {
+      k.expand_source_point(s, src_x, src_y);
+      src_x += k.img;
+      src_y += k.img;
+    }
+  }
+  return {model.self_rise(chip, footprint),
+          model.center_correction(footprint.center())};
 }
 
 util::SimdLevel SoaSnapshot::set_simd_level(util::SimdLevel level) {
@@ -129,37 +142,27 @@ void SoaSnapshot::refresh(const Floorplan& floorplan) {
   src_corr_.clear();
   src_x_.clear();
   src_y_.clear();
+  const std::size_t pts = k_.ss * k_.img;
   for (std::size_t i = 0; i < n_; ++i) {
     placed_[i] = floorplan.is_placed(i) ? 1 : 0;
     if (!placed_[i]) continue;
-    const Rect rect = floorplan.rect_of(i);
-    // The per-die terms go through the model's own building blocks, the
-    // same ones the incremental engine calls.
-    model_->receiver_probes(rect, probes_scratch_, shapes_scratch_);
-    for (std::size_t p = 0; p < pc; ++p) {
-      probe_x_[i * pc + p] = probes_scratch_[p].x;
-      probe_y_[i * pc + p] = probes_scratch_[p].y;
-      shape_[i * pc + p] = shapes_scratch_[p];
+    const Chiplet& chip = system_->chiplet(i);
+    const bool source = chip.power > 0.0;
+    if (source) {
+      src_x_.resize(src_x_.size() + pts);
+      src_y_.resize(src_y_.size() + pts);
     }
-    self_rise_[i] = model_->self_rise(system_->chiplet(i), rect);
-    corr_[i] = model_->center_correction(rect.center());
-
-    const double power = system_->chiplet(i).power;
-    if (power <= 0.0) continue;
+    const DieTerms terms = loader_.load(
+        *model_, k_, chip, floorplan.rect_of(i), &probe_x_[i * pc],
+        &probe_y_[i * pc], &shape_[i * pc],
+        source ? src_x_.data() + src_x_.size() - pts : nullptr,
+        source ? src_y_.data() + src_y_.size() - pts : nullptr);
+    self_rise_[i] = terms.self_rise;
+    corr_[i] = terms.corr;
+    if (!source) continue;
     src_die_.push_back(i);
-    src_scale_.push_back(power / static_cast<double>(k_.ss));
-    src_corr_.push_back(corr_[i]);
-    model_->source_points(rect, subs_scratch_);
-    const std::size_t base = src_x_.size();
-    src_x_.resize(base + subs_scratch_.size() * k_.img);
-    src_y_.resize(base + subs_scratch_.size() * k_.img);
-    double* xs = src_x_.data() + base;
-    double* ys = src_y_.data() + base;
-    for (const Point& s : subs_scratch_) {
-      k_.expand_source_point(s, xs, ys);
-      xs += k_.img;
-      ys += k_.img;
-    }
+    src_scale_.push_back(chip.power / static_cast<double>(k_.ss));
+    src_corr_.push_back(terms.corr);
   }
 }
 

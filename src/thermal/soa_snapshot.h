@@ -93,11 +93,36 @@ struct SoaModelConsts {
   /// so that means a broken invariant, not bad input).
   void bind(const FastThermalModel& model);
 
-  /// Expands one sub-source into its `img` coordinate pairs (xs/ys): the
-  /// point itself, its 4 side mirrors and 4 corner double-mirrors about the
-  /// package edges (the order of img_w). Without images this writes the
-  /// point itself.
+  /// Expands one sub-source into its `img` coordinate pairs (xs/ys):
+  /// mirror_images() with images on (the order of img_w), the point itself
+  /// without.
   void expand_source_point(const Point& s, double* xs, double* ys) const;
+};
+
+/// Placement-dependent scalars of one placed die.
+struct DieTerms {
+  double self_rise = 0.0;  ///< FastThermalModel::self_rise at the footprint
+  double corr = 1.0;       ///< position-correction factor at its center
+};
+
+/// The per-die loader behind SoaSnapshot::refresh and
+/// IncrementalThermalState: derives a placed die's SoA blocks through the
+/// model's building blocks, so both engines see the same doubles. Owns the
+/// scratch those building blocks fill.
+class SoaDieLoader {
+ public:
+  /// Writes k.pc receiver probe coordinates and shape factors to
+  /// probe_x/probe_y/shape and, when src_x is non-null, the k.ss * k.img
+  /// image-expanded sub-source coordinates to src_x/src_y. Returns the die's
+  /// self rise and center correction.
+  DieTerms load(const FastThermalModel& model, const SoaModelConsts& k,
+                const Chiplet& chip, const Rect& footprint, double* probe_x,
+                double* probe_y, double* shape, double* src_x, double* src_y);
+
+ private:
+  std::vector<Point> probes_;
+  std::vector<double> shapes_;
+  std::vector<Point> subs_;
 };
 
 class SoaSnapshot {
@@ -161,9 +186,7 @@ class SoaSnapshot {
   // Scratch.
   mutable std::vector<double> pair_corr_;  // per-source factor for a receiver
   mutable std::vector<double> sub_;        // per-source sweep subtotals
-  std::vector<Point> probes_scratch_;
-  std::vector<double> shapes_scratch_;
-  std::vector<Point> subs_scratch_;
+  SoaDieLoader loader_;
 
   // Kernel table (never nullptr) and the level it serves; see
   // soa_kernels.h.

@@ -30,24 +30,6 @@ double RunningStats::variance() const {
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
 
-void RunningStats::merge(const RunningStats& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double delta = other.mean_ - mean_;
-  const auto na = static_cast<double>(n_);
-  const auto nb = static_cast<double>(other.n_);
-  const double nt = na + nb;
-  m2_ += other.m2_ + delta * delta * na * nb / nt;
-  mean_ = (na * mean_ + nb * other.mean_) / nt;
-  n_ += other.n_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 ErrorMetrics ErrorMetrics::compute(std::span<const double> pred,
                                    std::span<const double> ref,
                                    double mape_eps) {
@@ -98,21 +80,6 @@ double quantile(std::span<const double> values, double q) {
   return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
 }
 
-Summary summarize(std::span<const double> values) {
-  Summary s;
-  s.p50 = quantile(values, 0.50);  // validates input (empty / NaN) first
-  s.p90 = quantile(values, 0.90);
-  s.p99 = quantile(values, 0.99);
-  RunningStats rs;
-  for (double v : values) rs.add(v);
-  s.n = rs.count();
-  s.mean = rs.mean();
-  s.stddev = rs.stddev();
-  s.min = rs.min();
-  s.max = rs.max();
-  return s;
-}
-
 double histogram_quantile(std::span<const double> upper_bounds,
                           std::span<const std::uint64_t> counts, double q) {
   if (!(q >= 0.0 && q <= 1.0)) {
@@ -144,28 +111,5 @@ double histogram_quantile(std::span<const double> upper_bounds,
   }
   return upper_bounds.back();
 }
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  assert(hi > lo);
-  assert(bins > 0);
-}
-
-void Histogram::add(double x) {
-  const double t = (x - lo_) / (hi_ - lo_);
-  auto idx = static_cast<std::ptrdiff_t>(
-      std::floor(t * static_cast<double>(counts_.size())));
-  idx = std::clamp<std::ptrdiff_t>(
-      idx, 0, static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::bin_low(std::size_t i) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) /
-                   static_cast<double>(counts_.size());
-}
-
-double Histogram::bin_high(std::size_t i) const { return bin_low(i + 1); }
 
 }  // namespace rlplan

@@ -212,7 +212,7 @@ TEST(Annealer, RoundsStayWithinEvaluationBudget) {
   for (const std::size_t k : {1u, 3u, 8u}) {
     for (const long budget : {5L, 50L, 333L}) {
       AnnealOptions options = toy_options();
-      options.t_initial = 1.0;  // calibration probes are not budgeted
+      options.t_initial = 1.0;  // auto T0 has its own case below
       options.max_evaluations = budget;
       options.t_final = 1e-12;  // would run for long without the budget
       options.cooling = 0.9999;
@@ -226,6 +226,17 @@ TEST(Annealer, RoundsStayWithinEvaluationBudget) {
       EXPECT_GE(stats.evaluations, budget) << "K=" << k;
     }
   }
+}
+
+TEST(Annealer, AutoTemperatureCalibrationStaysWithinBudget) {
+  AnnealOptions options = toy_options();  // auto T0: up to 20 probes
+  options.max_evaluations = 5;
+  std::vector<std::size_t> sizes;
+  Rng rng(3);
+  AnnealStats stats;
+  anneal<double>(10.0, toy_batch(sizes), toy_step, options, rng, stats, {},
+                 1);
+  EXPECT_LE(stats.evaluations, 5);
 }
 
 TEST(Annealer, RoundsNeverEndWorseThanInitial) {

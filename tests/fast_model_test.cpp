@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 
 #include "support/thermal_oracle.h"
@@ -200,6 +201,53 @@ TEST_F(FastModelTest, EmptyModelThrows) {
   fp.place(0, {0.0, 0.0});
   fp.place(1, {20.0, 20.0});
   EXPECT_THROW(empty.evaluate(sys, fp), std::logic_error);
+}
+
+TEST_F(FastModelTest, SelfRiseMatchesOracleImageKernel) {
+  // The self term rebuilt from the oracle's image-by-image kernel: R_self
+  // plus the die's image excess over the centered die's, times the power.
+  ASSERT_TRUE(model_->config().use_images);
+  const FastThermalModel& m = *model_;
+  const auto excess = [&](const Point& c) {
+    return testing::image_kernel(m, c, c) - testing::decay_kernel(m, 0.0) -
+           m.uniform_floor();
+  };
+  const Chiplet chip{"d", 6.0, 9.0, 17.0};
+  const Point center{m.package_w_mm() / 2.0, m.package_h_mm() / 2.0};
+  for (const Rect r : {Rect{0.0, 0.0, 6.0, 9.0}, Rect{17.0, 15.5, 6.0, 9.0},
+                       Rect{34.0, 31.0, 6.0, 9.0}, Rect{2.5, 28.0, 9.0, 6.0}}) {
+    double r_self = m.self_table().lookup(r.w, r.h);
+    r_self += excess(r.center()) - excess(center);
+    EXPECT_EQ(m.self_rise(chip, r), r_self * chip.power);
+  }
+}
+
+TEST(Characterizer, KernelDeconvolutionKeepsAValidKernel) {
+  const auto stack = LayerStack::default_2p5d();
+  CharacterizationConfig cc;
+  cc.solver.dims = {16, 16};
+  cc.auto_axis_points = 3;
+  const FastThermalModel raw =
+      ThermalCharacterizer(stack, cc).characterize(40.0, 40.0);
+  cc.kernel_deconvolution_iters = 2;
+  const FastThermalModel deconv =
+      ThermalCharacterizer(stack, cc).characterize(40.0, 40.0);
+  const auto& rv = raw.mutual_table().values();
+  const auto& dv = deconv.mutual_table().values();
+  ASSERT_EQ(dv.size(), rv.size());
+  // Subtracting predicted reflections never raises the kernel, never drops
+  // it below the far-field floor, and does lower some bins.
+  const double floor = *std::min_element(rv.begin(), rv.end());
+  bool lowered = false;
+  for (std::size_t k = 0; k < dv.size(); ++k) {
+    EXPECT_LE(dv[k], rv[k]);
+    EXPECT_GE(dv[k], floor);
+    lowered = lowered || dv[k] < rv[k];
+  }
+  EXPECT_TRUE(lowered);
+  // The self table comes from the same probe solves either way.
+  EXPECT_EQ(raw.self_table().lookup(10.0, 10.0),
+            deconv.self_table().lookup(10.0, 10.0));
 }
 
 TEST(FastModelConfig, RejectsBadSubsamples) {

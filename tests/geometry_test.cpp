@@ -264,5 +264,61 @@ TEST(RectProperties, InflateShrinkRoundTripAndMonotonicity) {
   }
 }
 
+TEST(UniformGrid, DieOnTheRightTopEdge) {
+  const UniformGrid grid(40.0, 40.0, 8, 8);  // 5 mm cells
+  const Rect die{32.5, 35.0, 7.5, 5.0};      // touches x = 40 and y = 40
+  const CellWindow w = grid.window(die);
+  EXPECT_EQ(w.row0, 7u);
+  EXPECT_EQ(w.row1, 8u);
+  EXPECT_EQ(w.col0, 6u);
+  EXPECT_EQ(w.col1, 8u);
+  EXPECT_DOUBLE_EQ(grid.coverage(7, 6, die), 0.5);
+  EXPECT_DOUBLE_EQ(grid.coverage(7, 7, die), 1.0);
+  const GridCell corner = grid.cell_of({40.0, 40.0});  // clamped onto grid
+  EXPECT_EQ(corner.row, 7u);
+  EXPECT_EQ(corner.col, 7u);
+}
+
+TEST(UniformGrid, DieSmallerThanOneCell) {
+  const UniformGrid grid(40.0, 40.0, 8, 8);
+  const Rect die{11.0, 21.0, 2.0, 2.0};
+  std::size_t cells = 0;
+  grid.for_each_covered(die, [&](std::size_t row, std::size_t col, double f) {
+    EXPECT_EQ(row, 4u);
+    EXPECT_EQ(col, 2u);
+    EXPECT_DOUBLE_EQ(f, 4.0 / 25.0);
+    ++cells;
+  });
+  EXPECT_EQ(cells, 1u);
+  const GridCell c = grid.cell_of(die.center());
+  EXPECT_EQ(c.row, 4u);
+  EXPECT_EQ(c.col, 2u);
+}
+
+TEST(UniformGrid, DiePastTheInterposerEdge) {
+  const UniformGrid grid(40.0, 40.0, 8, 8);
+  // Hangs 5 mm past the right edge: only the on-grid part is covered.
+  const Rect right{37.5, 0.0, 7.5, 5.0};
+  double covered = 0.0;
+  grid.for_each_covered(right, [&](std::size_t, std::size_t col, double f) {
+    EXPECT_EQ(col, 7u);
+    covered += f;
+  });
+  EXPECT_DOUBLE_EQ(covered, 0.5);
+  // Entirely left of / below the grid: an empty window.
+  const CellWindow off = grid.window({-10.0, -10.0, 5.0, 5.0});
+  EXPECT_EQ(off.row1, 0u);
+  EXPECT_EQ(off.col1, 0u);
+  // Entirely right of the grid: the window clamps onto the last column,
+  // which it does not cover.
+  std::size_t cells = 0;
+  grid.for_each_covered({45.0, 10.0, 5.0, 5.0},
+                        [&](std::size_t, std::size_t, double) { ++cells; });
+  EXPECT_EQ(cells, 0u);
+  const CellWindow beyond = grid.window({45.0, 10.0, 5.0, 5.0});
+  EXPECT_EQ(beyond.col0, 7u);
+  EXPECT_EQ(beyond.col1, 8u);
+}
+
 }  // namespace
 }  // namespace rlplan

@@ -19,10 +19,10 @@ TEST(GridModelGeometry, CellCentersTileTheInterposer) {
   const auto sys = simple_system();
   ThermalGridModel model(stack, sys, {8, 8});
   // Corner cells.
-  const Point first = model.cell_center_mm(0, 0);
+  const Point first = model.grid().cell_center(0, 0);
   EXPECT_DOUBLE_EQ(first.x, 2.5);
   EXPECT_DOUBLE_EQ(first.y, 2.5);
-  const Point last = model.cell_center_mm(7, 7);
+  const Point last = model.grid().cell_center(7, 7);
   EXPECT_DOUBLE_EQ(last.x, 37.5);
   EXPECT_DOUBLE_EQ(last.y, 37.5);
 }
@@ -33,11 +33,11 @@ TEST(GridModelGeometry, CoverageFractionExact) {
   ThermalGridModel model(stack, sys, {8, 8});  // 5 mm cells
   // A die footprint covering exactly cell (2,2) (mm rect [10,15]^2).
   const Rect exact{10.0, 10.0, 5.0, 5.0};
-  EXPECT_DOUBLE_EQ(model.coverage_fraction(2, 2, exact), 1.0);
-  EXPECT_DOUBLE_EQ(model.coverage_fraction(2, 3, exact), 0.0);
+  EXPECT_DOUBLE_EQ(model.grid().coverage(2, 2, exact), 1.0);
+  EXPECT_DOUBLE_EQ(model.grid().coverage(2, 3, exact), 0.0);
   // Half-covering rect.
   const Rect half{10.0, 10.0, 2.5, 5.0};
-  EXPECT_DOUBLE_EQ(model.coverage_fraction(2, 2, half), 0.5);
+  EXPECT_DOUBLE_EQ(model.grid().coverage(2, 2, half), 0.5);
 }
 
 TEST(GridModelGeometry, NodeIndexingIsBijective) {

@@ -5,7 +5,6 @@
 #include <vector>
 
 namespace rlplan::testing {
-namespace {
 
 using thermal::FastThermalModel;
 using thermal::kernel_distance;
@@ -39,6 +38,8 @@ double image_kernel(const FastThermalModel& m, const Point& src,
   }
   return m.uniform_floor() + k;
 }
+
+namespace {
 
 /// Rise at `probe` caused by one source die with sub-points `subs`.
 double source_contribution(const FastThermalModel& m,

@@ -29,6 +29,14 @@
 
 namespace rlplan::testing {
 
+/// Decaying kernel: table value minus the uniform floor, clamped >= 0.
+double decay_kernel(const thermal::FastThermalModel& m, double distance_mm);
+
+/// Kernel source -> probe written out image by image: the direct term, 4
+/// side mirrors, 4 corner double-mirrors, plus the uniform floor.
+double image_kernel(const thermal::FastThermalModel& m, const Point& src,
+                    const Point& probe);
+
 /// Temperatures of `floorplan` by the direct formula (see above);
 /// eval_seconds is 0.
 thermal::FastThermalResult reference_evaluate(

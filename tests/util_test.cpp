@@ -102,27 +102,6 @@ TEST(RunningStats, EmptyIsSafe) {
   EXPECT_DOUBLE_EQ(s.variance(), 0.0);
 }
 
-TEST(RunningStats, MergeEqualsSequential) {
-  RunningStats a, b, all;
-  Rng rng(13);
-  for (int i = 0; i < 100; ++i) {
-    const double x = rng.uniform(-5, 5);
-    a.add(x);
-    all.add(x);
-  }
-  for (int i = 0; i < 57; ++i) {
-    const double x = rng.normal(2.0, 3.0);
-    b.add(x);
-    all.add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-10);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-8);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
 TEST(ErrorMetrics, KnownValues) {
   const std::vector<double> pred{1.0, 2.0, 3.0};
   const std::vector<double> ref{1.5, 2.0, 2.0};
@@ -146,21 +125,6 @@ TEST(ErrorMetrics, EmptyInput) {
   const auto m = ErrorMetrics::compute({}, {});
   EXPECT_EQ(m.n, 0u);
   EXPECT_DOUBLE_EQ(m.mse, 0.0);
-}
-
-TEST(Histogram, BinningAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.5);    // bin 0
-  h.add(9.99);   // bin 4
-  h.add(-3.0);   // clamps to bin 0
-  h.add(15.0);   // clamps to bin 4
-  h.add(5.0);    // bin 2
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(2), 1u);
-  EXPECT_EQ(h.bin_count(4), 2u);
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_DOUBLE_EQ(h.bin_low(2), 4.0);
-  EXPECT_DOUBLE_EQ(h.bin_high(2), 6.0);
 }
 
 TEST(Timer, MeasuresElapsedTime) {

@@ -157,9 +157,15 @@ util::JsonValue report_to_json(const std::string& suite,
   return j;
 }
 
+constexpr const char* kUsage =
+    "usage: regress [--suite=DIR] [--json=PATH] [--threads=N>=0] "
+    "[--sa-population=K>=1] [--filter=S] [--perf-scale=X] "
+    "[--scenario-deadline-s=S] [--list] [--trace=PATH] [--metrics=PATH]";
+
 }  // namespace
 
 int main(int argc, char** argv) {
+  bench::set_usage(kUsage);
   const std::string suite_dir =
       bench::flag_str(argc, argv, "suite", "scenarios/");
   const std::string json_path =
@@ -179,10 +185,8 @@ int main(int argc, char** argv) {
   if (sa_population_flag < 1 || threads_flag < 0) {
     std::fprintf(stderr,
                  "[regress] --sa-population must be >= 1 and --threads >= 0\n"
-                 "usage: regress [--suite=DIR] [--json=PATH] [--threads=N>=0] "
-                 "[--sa-population=K>=1] [--filter=S] [--perf-scale=X] "
-                 "[--scenario-deadline-s=S] [--list] [--trace=PATH] "
-                 "[--metrics=PATH]\n");
+                 "%s\n",
+                 kUsage);
     return 2;
   }
   const auto sa_population = static_cast<std::size_t>(sa_population_flag);
